@@ -167,10 +167,11 @@ chaos:
 		./internal/serve/ ./internal/feed/ ./internal/chaos/ ./internal/resilience/ \
 		> chaos-soak.log 2>&1; status=$$?; cat chaos-soak.log; exit $$status
 
-# Short fuzz pass over the timeseries parsers and transforms.
+# Short fuzz pass over every Fuzz* target in the module (discovered,
+# not listed), FUZZTIME each after its committed seed corpus replays.
+FUZZTIME ?= 10s
 fuzz:
-	$(GO) test ./internal/timeseries/ -fuzz FuzzReadPowerCSV -fuzztime 20s
-	$(GO) test ./internal/timeseries/ -fuzz FuzzResampleWindow -fuzztime 20s
+	GO=$(GO) FUZZTIME=$(FUZZTIME) scripts/fuzz.sh
 
 clean:
 	$(GO) clean ./...

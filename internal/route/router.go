@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"repro/internal/contract"
+	"repro/internal/ingest"
 	"repro/internal/resilience"
 )
 
@@ -367,19 +368,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // key, which is what makes sharding keep their caches hot. Returns
 // ok=false when the body has no parseable spec.
 func routingKey(body []byte) (string, bool) {
-	if len(body) == 0 {
-		return "", false
-	}
-	var env struct {
-		Contract  json.RawMessage   `json:"contract"`
-		Contracts []json.RawMessage `json:"contracts"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil {
-		return "", false
-	}
-	raw := env.Contract
-	if len(raw) == 0 && len(env.Contracts) > 0 {
-		raw = env.Contracts[0]
+	raw, err := scanSpec(body)
+	if err != nil {
+		raw = unmarshalSpec(body)
 	}
 	if len(raw) == 0 {
 		return "", false
@@ -393,6 +384,58 @@ func routingKey(body []byte) (string, bool) {
 		return "", false
 	}
 	return key, true
+}
+
+// envelopeKeys are the top-level members routingKey looks at.
+var envelopeKeys = []string{"contract", "contracts"}
+
+// scanSpec finds the routed spec's bytes in one validating pass that
+// skips everything else — an inline year-long load is hundreds of
+// kilobytes the router never needs to decode. Any error means the body
+// is outside the scanned shape, and unmarshalSpec decides instead.
+func scanSpec(body []byte) ([]byte, error) {
+	sc := ingest.NewScanner(body, 0)
+	var single, first []byte
+	err := sc.Object(envelopeKeys, func(i int) error {
+		if i == 0 {
+			start, end, err := sc.Skip()
+			single = body[start:end]
+			return err
+		}
+		return sc.Array(func() error {
+			start, end, err := sc.Skip()
+			if first == nil {
+				first = body[start:end]
+			}
+			return err
+		})
+	})
+	if err == nil {
+		err = sc.Finish()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(single) > 0 {
+		return single, nil
+	}
+	return first, nil
+}
+
+// unmarshalSpec is scanSpec through encoding/json, for bodies outside
+// the scanned shape (and invalid ones, which yield nil).
+func unmarshalSpec(body []byte) []byte {
+	var env struct {
+		Contract  json.RawMessage   `json:"contract"`
+		Contracts []json.RawMessage `json:"contracts"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		return nil
+	}
+	if len(env.Contract) == 0 && len(env.Contracts) > 0 {
+		return env.Contracts[0]
+	}
+	return env.Contract
 }
 
 // order computes the forward preference for one request: rendezvous
@@ -490,7 +533,7 @@ type proxyState struct {
 // upstream 502/503 relays (it is the truth); with no response at all
 // the router answers 502.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := ingest.ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
 		rt.metrics.observeRequest(r.URL.Path, http.StatusBadRequest)
 		writeRouterError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))

@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/advisor"
@@ -29,7 +27,7 @@ import (
 )
 
 // maxBodyBytes bounds request bodies (inline CSV year at one-minute
-// resolution fits comfortably).
+// resolution fits comfortably; maxInlineSamples bounds the samples).
 const maxBodyBytes = 16 << 20
 
 // defaultFlatFeedRate mirrors cmd/scbill: dynamic tariffs evaluated
@@ -133,47 +131,6 @@ func NamedProfiles() map[string]hpc.LoadProfileConfig {
 			Start: january, Span: 365 * 24 * time.Hour, Interval: 15 * time.Minute,
 			Base: 12 * units.Megawatt, PeakToAverage: 1.6, NoiseSigma: 0.02, Seed: 7,
 		},
-	}
-}
-
-// resolveLoad materializes the request's load profile.
-func resolveLoad(ls LoadSpec) (*timeseries.PowerSeries, error) {
-	set := 0
-	for _, present := range []bool{ls.CSV != "", ls.Series != nil, ls.Profile != "", ls.Synthetic != nil} {
-		if present {
-			set++
-		}
-	}
-	if set != 1 {
-		return nil, errors.New("load: set exactly one of csv, series, profile, synthetic")
-	}
-	switch {
-	case ls.CSV != "":
-		return timeseries.ReadPowerCSV(strings.NewReader(ls.CSV))
-	case ls.Series != nil:
-		if ls.Series.IntervalSeconds <= 0 {
-			return nil, errors.New("load.series: interval_seconds must be positive")
-		}
-		samples := make([]units.Power, len(ls.Series.KW))
-		for i, v := range ls.Series.KW {
-			samples[i] = units.Power(v)
-		}
-		return timeseries.NewPower(ls.Series.Start,
-			time.Duration(ls.Series.IntervalSeconds)*time.Second, samples)
-	case ls.Profile != "":
-		cfg, ok := NamedProfiles()[ls.Profile]
-		if !ok {
-			names := make([]string, 0, len(NamedProfiles()))
-			for n := range NamedProfiles() {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			return nil, fmt.Errorf("load.profile: unknown profile %q (have: %s)",
-				ls.Profile, strings.Join(names, ", "))
-		}
-		return hpc.SyntheticFacilityLoad(cfg)
-	default:
-		return resolveSynthetic(*ls.Synthetic)
 	}
 }
 
@@ -385,14 +342,14 @@ func markDegraded(data []byte, reason string) []byte {
 	return b.Bytes()
 }
 
-func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBill(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req BillRequest
-	if !decodeBody(w, r, &req) {
+	kw, ok := decodeBody(w, r, body, &req)
+	if !ok {
 		return
 	}
-	load, err := resolveLoad(req.Load)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	load := loadFor(w, r, req.Load, kw)
+	if load == nil {
 		return
 	}
 	eng, feedRes, err := s.engineFor(r.Context(), req.Contract, req.Feed, load)
@@ -481,18 +438,18 @@ func degradedReason(fr feedResolution) string {
 	return ""
 }
 
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req AdviseRequest
-	if !decodeBody(w, r, &req) {
+	kw, ok := decodeBody(w, r, body, &req)
+	if !ok {
 		return
 	}
 	if len(req.Candidates) == 0 {
 		writeError(w, http.StatusBadRequest, "advise: no candidates")
 		return
 	}
-	load, err := resolveLoad(req.Load)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	load := loadFor(w, r, req.Load, kw)
+	if load == nil {
 		return
 	}
 	var feedRes feedResolution
@@ -695,15 +652,29 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}{status, s.Inflight()})
 }
 
-// decodeBody parses the JSON request body into dst, writing a 400 and
-// returning false on failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(dst); err != nil {
+// decodeBody decodes the buffered request body into dst under the
+// decode stage, writing a 400 and returning ok=false on failure. kw is
+// the inline series when the fast path parsed it (see decodeRequest).
+func decodeBody(w http.ResponseWriter, r *http.Request, body []byte, dst any) (kw []units.Power, ok bool) {
+	defer obs.Span(r.Context(), stageDecode)()
+	kw, err := decodeRequest(body, dst)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
+		return nil, false
 	}
-	return true
+	return kw, true
+}
+
+// loadFor resolves the request's load under the load stage, writing a
+// 400 and returning nil on failure.
+func loadFor(w http.ResponseWriter, r *http.Request, ls LoadSpec, kw []units.Power) *timeseries.PowerSeries {
+	defer obs.Span(r.Context(), stageLoad)()
+	load, err := resolveLoad(ls, kw)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return nil
+	}
+	return load
 }
 
 // writeEvalError maps an evaluation error onto a status: deadline and

@@ -95,9 +95,10 @@ func batchEvalStatus(err error) (int, []byte) {
 	return http.StatusBadRequest, batchErrorBody(err.Error())
 }
 
-func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req BatchRequest
-	if !decodeBody(w, r, &req) {
+	kw, ok := decodeBody(w, r, body, &req)
+	if !ok {
 		return
 	}
 	specs, loadSpecs, err := req.shape()
@@ -110,12 +111,16 @@ func (s *Server) handleBillBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batchRequests.Add(1)
 	s.metrics.batchItems.Add(uint64(n))
 
-	// Materialize every distinct load once.
+	// Materialize every distinct load once. The fast path parses only
+	// the single top-level load; a loads list decodes through
+	// encoding/json.
+	endLoad := obs.Span(r.Context(), stageLoad)
 	loads := make([]*timeseries.PowerSeries, len(loadSpecs))
 	loadErrs := make([]error, len(loadSpecs))
 	for i := range loadSpecs {
-		loads[i], loadErrs[i] = resolveLoad(loadSpecs[i])
+		loads[i], loadErrs[i] = resolveLoad(loadSpecs[i], kw)
 	}
+	endLoad()
 	// Parse every distinct spec once (repeated raw bytes share a parse).
 	parsed := make([]parsedSpec, len(specs))
 	specErrs := make([]error, len(specs))

@@ -29,6 +29,11 @@ const (
 	stageCompile       = "compile"
 	stageEvaluate      = "evaluate"
 	stageEncode        = "encode"
+	// Ingest stages: decode is the request body's JSON decode, load the
+	// materialization of its load profile (inline series or CSV, named
+	// profile, synthetic generation).
+	stageDecode = "decode"
+	stageLoad   = "load"
 	// Batch-aware stages: one batch_evaluate span covers the whole
 	// fan-out across the batch pool, one batch_encode span per item.
 	stageBatchEvaluate = "batch_evaluate"
@@ -256,8 +261,8 @@ func (m *metrics) render(w *strings.Builder, s *Server) {
 	m.latency.Snapshot().WriteProm(w, "scserved_request_seconds", "")
 
 	// Per-stage latency: one histogram per span name, covering both the
-	// HTTP stages (admission_wait, cache, compile, evaluate, encode) and
-	// the billing engine's spans (billing.period, billing.tariff, ...).
+	// HTTP stages (admission_wait, decode, load, cache, compile,
+	// evaluate, encode) and the billing engine's spans (billing.period, billing.tariff, ...).
 	stages := s.stages.Snapshot()
 	if len(stages) > 0 {
 		fmt.Fprintf(w, "# HELP scserved_stage_seconds Per-stage latency, by pipeline stage or billing span.\n")

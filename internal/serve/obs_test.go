@@ -7,6 +7,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -213,6 +214,57 @@ func TestStageHistogramsExposed(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("after cached request, metrics missing %q", want)
+		}
+	}
+}
+
+// TestIngestStagesExposed: request decode and load resolution are
+// stages of their own — one decode and one load span per request, on
+// /v1/bill and on each other gated endpoint that carries a load.
+func TestIngestStagesExposed(t *testing.T) {
+	s := NewServer(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := specJSON(t, quickstartSpec())
+	load := LoadSpec{Series: &SeriesSpec{
+		Start: time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC), IntervalSeconds: 900, KW: []float64{9000, 12000, 11000, 10000},
+	}}
+	if resp, body := postBill(t, ts, "/v1/bill", BillRequest{Contract: spec, Load: load}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("bill: %d %s", resp.StatusCode, body)
+	}
+	text := scrapeMetrics(t, ts)
+	for _, want := range []string{
+		`scserved_stage_seconds_bucket{stage="decode",le="+Inf"} 1`,
+		`scserved_stage_seconds_bucket{stage="load",le="+Inf"} 1`,
+		`scserved_stage_seconds_sum{stage="decode"}`,
+		`scserved_stage_seconds_count{stage="load"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("after one bill, metrics missing %q", want)
+		}
+	}
+
+	profile := LoadSpec{Profile: "quickstart-month"}
+	for _, rq := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/bill/batch", BatchRequest{Contracts: []json.RawMessage{spec, spec}, Load: &profile}},
+		{"/v1/advise", AdviseRequest{Current: "a", Candidates: []AdviseCandidate{{Name: "a", Contract: spec}}, Load: profile}},
+		{"/v1/optimize", OptimizeRequest{Contract: spec, Load: profile, Search: &SearchSpec{Candidates: 10}}},
+	} {
+		if resp, body := postBill(t, ts, rq.path, rq.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", rq.path, resp.StatusCode, body)
+		}
+	}
+	text = scrapeMetrics(t, ts)
+	for _, want := range []string{
+		`scserved_stage_seconds_count{stage="decode"} 4`,
+		`scserved_stage_seconds_count{stage="load"} 4`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("after bill, batch, advise and optimize, metrics missing %q", want)
 		}
 	}
 }

@@ -48,9 +48,10 @@ type OptimizeRequest struct {
 	Search      *SearchSpec          `json:"search,omitempty"`
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req OptimizeRequest
-	if !decodeBody(w, r, &req) {
+	kw, ok := decodeBody(w, r, body, &req)
+	if !ok {
 		return
 	}
 	opts := optimize.Options{}
@@ -63,9 +64,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("search.candidates %d exceeds the limit of %d", opts.Candidates, maxOptimizeCandidates))
 		return
 	}
-	load, err := resolveLoad(req.Load)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	load := loadFor(w, r, req.Load, kw)
+	if load == nil {
 		return
 	}
 	eng, feedRes, err := s.engineFor(r.Context(), req.Contract, req.Feed, load)

@@ -42,11 +42,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -57,6 +55,7 @@ import (
 	"time"
 
 	"repro/internal/feed"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 )
 
@@ -135,9 +134,9 @@ type Server struct {
 	limiter *limiter
 	metrics *metrics
 	// stages collects per-stage latency spans — the HTTP pipeline's
-	// (admission_wait, cache, compile, evaluate, encode) and, because
-	// the registry rides the request context into the engine, the
-	// billing spans (billing.period, billing.tariff, ...).
+	// (admission_wait, decode, load, cache, compile, evaluate, encode)
+	// and, because the registry rides the request context into the
+	// engine, the billing spans (billing.period, billing.tariff, ...).
 	stages  *obs.Registry
 	mux     *http.ServeMux
 	started time.Time
@@ -280,7 +279,7 @@ func (s *Server) requestBudget(r *http.Request) (budget time.Duration, propagate
 // propagated X-SCBill-Deadline-Ms), and the bounded concurrency queue
 // with load shedding. The path selects the endpoint class tracked for
 // the Retry-After estimate.
-func (s *Server) gated(path string, h http.HandlerFunc) http.Handler {
+func (s *Server) gated(path string, h func(w http.ResponseWriter, r *http.Request, body []byte)) http.Handler {
 	class := classFor(path)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !s.beginRequest() {
@@ -308,14 +307,16 @@ func (s *Server) gated(path string, h http.HandlerFunc) http.Handler {
 		// once the request body has been consumed, so without this a
 		// hung-up client would hold its queue token — invisible — until
 		// the deadline. With the body drained, a disconnect cancels the
-		// request context and unparks the waiter immediately.
+		// request context and unparks the waiter immediately. The
+		// handler decodes these same bytes, so the body is read once.
+		var body []byte
 		if r.Body != nil && r.Body != http.NoBody {
-			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+			var err error
+			body, err = ingest.ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 				return
 			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
 
 		cm := s.metrics.class(class)
@@ -352,7 +353,7 @@ func (s *Server) gated(path string, h http.HandlerFunc) http.Handler {
 		defer cm.pending.Add(-1)
 		defer s.limiter.release()
 		serviceStart := time.Now()
-		h(w, r)
+		h(w, r, body)
 		s.metrics.observeGated(class, time.Since(serviceStart))
 	})
 }

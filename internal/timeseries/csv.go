@@ -8,6 +8,7 @@ package timeseries
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -43,14 +44,29 @@ type csvRow struct {
 	kw   string
 }
 
+// ErrTooManySamples reports a CSV profile with more data rows than the
+// caller's cap (ReadPowerCSVMax).
+var ErrTooManySamples = errors.New("timeseries: CSV exceeds the sample cap")
+
 // ReadPowerCSV parses a "timestamp,kw" CSV into a series. A header row
 // is optional: if the first row's timestamp column does not parse as
 // RFC 3339 it is taken as a header and skipped. Rows must be equally
 // spaced and in order; errors name the offending line and field.
 func ReadPowerCSV(r io.Reader) (*PowerSeries, error) {
+	return ReadPowerCSVMax(r, 0)
+}
+
+// ReadPowerCSVMax is ReadPowerCSV with a cap of maxSamples data rows
+// (<= 0: no cap). It stops reading at the first row past the cap —
+// before buffering it — and returns an error wrapping
+// ErrTooManySamples.
+func ReadPowerCSVMax(r io.Reader, maxSamples int) (*PowerSeries, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
 	var rows []csvRow
+	tooMany := func() error {
+		return fmt.Errorf("%w: more than %d data rows", ErrTooManySamples, maxSamples)
+	}
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -60,6 +76,10 @@ func ReadPowerCSV(r io.Reader) (*PowerSeries, error) {
 			// csv.ParseError already carries the line number.
 			return nil, fmt.Errorf("timeseries: bad CSV: %w", err)
 		}
+		// One row beyond the cap may still be the header.
+		if maxSamples > 0 && len(rows) > maxSamples {
+			return nil, tooMany()
+		}
 		line, _ := cr.FieldPos(0)
 		rows = append(rows, csvRow{line: line, ts: rec[0], kw: rec[1]})
 	}
@@ -67,6 +87,9 @@ func ReadPowerCSV(r io.Reader) (*PowerSeries, error) {
 		if _, err := time.Parse(time.RFC3339, rows[0].ts); err != nil {
 			rows = rows[1:] // header row
 		}
+	}
+	if maxSamples > 0 && len(rows) > maxSamples {
+		return nil, tooMany()
 	}
 	if len(rows) < 2 { // at least two samples to fix the interval
 		return nil, fmt.Errorf("timeseries: CSV needs at least two data rows to fix the sample interval")
