@@ -484,14 +484,18 @@ func (e *Evaluator) evaluateTraced(ctx context.Context, reg *obs.Registry, load 
 			}
 			buf = append(buf, Sample{Index: i, Time: load.TimeAt(i), Power: p, Energy: units.Energy(en)})
 		}
+		// Each family's end reading is the next family's start: G+1
+		// clock reads per block for G families.
+		t0 := e.now()
 		for g, group := range groups {
-			t0 := e.now()
 			for _, a := range group {
 				for _, s := range buf {
 					a.Observe(s)
 				}
 			}
-			nanos[g] += e.now().Sub(t0)
+			t1 := e.now()
+			nanos[g] += t1.Sub(t0)
+			t0 = t1
 		}
 	}
 	for g, name := range e.famNames {

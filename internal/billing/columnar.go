@@ -140,12 +140,16 @@ func (e *Evaluator) columnarTraced(ctx context.Context, reg *obs.Registry, load 
 					peak, peakIdx = p, base+j
 				}
 			}
+			// Each family's end reading is the next family's start: G+1
+			// clock reads per chunk for G families.
+			t0 := e.now()
 			for g, group := range ss.groups {
-				t0 := e.now()
 				for _, sc := range group {
 					sc.Scan(chunk, base)
 				}
-				nanos[g] += e.now().Sub(t0)
+				t1 := e.now()
+				nanos[g] += t1.Sub(t0)
+				t0 = t1
 			}
 		}
 	}

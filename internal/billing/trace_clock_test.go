@@ -4,8 +4,9 @@ package billing
 // surfaced in the traced evaluation path: per-family span attribution
 // used to call time.Now/time.Since directly. The clock is now injected
 // (Evaluator.WithNow), so the span accounting itself is testable
-// deterministically — and provably reads the clock exactly twice per
-// family per block, never inside the per-sample loop.
+// deterministically — and provably reads the clock once per family
+// per block plus once to open the block, never inside the per-sample
+// loop.
 
 import (
 	"context"
@@ -17,7 +18,7 @@ import (
 )
 
 // TestTracedSpanClockInjection pins the traced path's clock discipline
-// with a tick-counting fake clock: 2 reads per family per block, each
+// with a tick-counting fake clock: families+1 reads per block, each
 // family span summing to exactly one fake tick per block, and a Result
 // identical to the untraced path.
 func TestTracedSpanClockInjection(t *testing.T) {
@@ -51,8 +52,8 @@ func TestTracedSpanClockInjection(t *testing.T) {
 	}
 
 	const families = 2
-	if want := 2 * families * blocks; ticks != want {
-		t.Errorf("clock reads = %d, want %d (2 per family per block; a read inside the sample loop would explode this)", ticks, want)
+	if want := (families + 1) * blocks; ticks != want {
+		t.Errorf("clock reads = %d, want %d (families+1 per block; a read inside the sample loop would explode this)", ticks, want)
 	}
 
 	// Each family's span: one Observe per period, summing one 1 s tick
@@ -79,6 +80,70 @@ func TestTracedSpanClockInjection(t *testing.T) {
 	// The injected clock is instrumentation only: the bill must be
 	// bit-identical to the untraced path.
 	plain, err := mk().EvaluatePeriod(load, PeriodContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, traced) {
+		t.Errorf("fake-clock traced result differs from untraced:\n%+v\nvs\n%+v", traced, plain)
+	}
+}
+
+// TestColumnarTracedSpanClockInjection pins the same discipline on the
+// columnar traced loop, the one production billing runs whenever a
+// span registry rides the context: families+1 clock reads per chunk,
+// one fake tick per chunk in each family's span, and a Result identical
+// to the untraced columnar path.
+func TestColumnarTracedSpanClockInjection(t *testing.T) {
+	load := twoMonthLoad()
+	mk := func() (*Evaluator, *scanProbe) {
+		tariff := &scanProbe{name: "tariff-probe", family: "tariff"}
+		ev, err := NewEvaluator(tariff, &scanProbe{name: "demand-probe", family: "demand"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ev.Columnar() {
+			t.Fatal("probe kernels should compile")
+		}
+		return ev, tariff
+	}
+
+	ticks := 0
+	base := time.Date(2016, time.March, 1, 0, 0, 0, 0, time.UTC)
+	ev, tariff := mk()
+	ev = ev.WithNow(func() time.Time {
+		ticks++
+		return base.Add(time.Duration(ticks) * time.Second)
+	})
+	reg := obs.NewRegistry()
+	traced, err := ev.EvaluatePeriodCtx(obs.WithSpans(context.Background(), reg), load, PeriodContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const families = 2
+	chunks := len(tariff.chunks)
+	if chunks < 2 {
+		t.Fatalf("want several chunks, got %d", chunks)
+	}
+	if want := (families + 1) * chunks; ticks != want {
+		t.Errorf("clock reads = %d, want %d (families+1 per chunk)", ticks, want)
+	}
+	found := 0
+	for _, s := range reg.Snapshot() {
+		if s.Name != "billing.tariff" && s.Name != "billing.demand" {
+			continue
+		}
+		found++
+		if s.Sum != float64(chunks) {
+			t.Errorf("%s: span sum = %v s, want %v (one tick per chunk)", s.Name, s.Sum, chunks)
+		}
+	}
+	if found != families {
+		t.Errorf("found %d family spans, want %d", found, families)
+	}
+
+	plainEv, _ := mk()
+	plain, err := plainEv.EvaluatePeriod(load, PeriodContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,75 @@ package contract
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/calendar"
+	"repro/internal/demand"
+	"repro/internal/hpc"
+	"repro/internal/tariff"
+	"repro/internal/units"
 )
+
+// marshalBillOracle is the encoding/json rendering AppendJSON must
+// reproduce byte for byte: the billJSON shape through MarshalIndent.
+func marshalBillOracle(b *Bill) ([]byte, error) {
+	out := billJSON{
+		Contract:    b.Contract,
+		PeriodStart: b.PeriodStart,
+		PeriodEnd:   b.PeriodEnd,
+		EnergyKWh:   float64(b.Energy),
+		PeakKW:      float64(b.PeakDemand),
+		Total:       b.Total.Float(),
+		DemandShare: b.DemandShare(),
+	}
+	for _, l := range b.Lines {
+		out.Lines = append(out.Lines, lineItemJSON{
+			Component:   l.Component.String(),
+			Description: l.Description,
+			Quantity:    l.Quantity,
+			Amount:      l.Amount.Float(),
+		})
+	}
+	return json.MarshalIndent(out, "", "  ")
+}
+
+// nestedOracle is the oracle document as an enclosing MarshalIndent
+// renders it depth levels deep (a json.RawMessage element is compacted
+// and re-indented with the enclosing prefix).
+func nestedOracle(t testing.TB, doc []byte, depth int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, doc, strings.Repeat("  ", depth), "  "); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// assertAppendJSONMatches checks AppendJSON against the oracle at depths
+// 0 and 2, appending after a non-empty prefix: identical bytes, and an
+// error exactly when the oracle errors.
+func assertAppendJSONMatches(t *testing.T, b *Bill) {
+	t.Helper()
+	want, wantErr := marshalBillOracle(b)
+	for _, depth := range []int{0, 2} {
+		got, err := b.AppendJSON([]byte("prefix"), depth)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("depth %d: AppendJSON error %v, MarshalIndent error %v", depth, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !bytes.HasPrefix(got, []byte("prefix")) {
+			t.Fatalf("depth %d: AppendJSON dropped dst", depth)
+		}
+		if w := nestedOracle(t, want, depth); !bytes.Equal(got[len("prefix"):], w) {
+			t.Fatalf("depth %d: AppendJSON differs from MarshalIndent:\n%s\nvs\n%s", depth, got[len("prefix"):], w)
+		}
+	}
+}
 
 // TestBillJSONRoundTrip encodes every golden bill (including the
 // kitchen-sink contract exercising all component kinds), decodes it,
@@ -35,6 +101,72 @@ func TestBillJSONRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBillAppendJSONGolden: every golden bill and each of its monthly
+// bills renders exactly as encoding/json renders the billJSON shape.
+func TestBillAppendJSONGolden(t *testing.T) {
+	for _, tc := range goldenCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			bill, err := ComputeBill(tc.c, tc.load, tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertAppendJSONMatches(t, bill)
+			months, err := BillMonths(tc.c, tc.load, tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range months {
+				assertAppendJSONMatches(t, m)
+			}
+		})
+	}
+}
+
+// FuzzBillJSON differentially tests the hand-written encoder against
+// encoding/json over hostile bills: control bytes, HTML characters,
+// invalid UTF-8 and U+2028 in every string; zero, negative zero, tiny,
+// huge, negative, NaN and infinite floats; no lines, one line and
+// several (with an out-of-range component); times with nanoseconds,
+// non-UTC offsets (some of 24 h or more) and years outside [0, 9999].
+// The committed corpus (testdata/fuzz/FuzzBillJSON) seeds each of
+// those edges.
+func FuzzBillJSON(f *testing.F) {
+	f.Add("site", "fixed tariff", "1.00 MWh", 1500.5, 12000.0, int64(1234567), int64(1456790400), uint32(0), int16(0), uint8(1))
+	f.Fuzz(func(t *testing.T, name, desc, qty string, energy, peak float64, amount, startSec int64, nsec uint32, zoneMin int16, lineSel uint8) {
+		loc := time.UTC
+		if zoneMin != 0 {
+			loc = time.FixedZone("fuzz", int(zoneMin)*60)
+		}
+		start := time.Unix(startSec, int64(nsec%1e9)).In(loc)
+		b := &Bill{
+			Contract:    name,
+			PeriodStart: start,
+			PeriodEnd:   start.AddDate(0, 1, 0),
+			Energy:      units.Energy(energy),
+			PeakDemand:  units.Power(peak),
+			Total:       units.Money(amount),
+		}
+		// lineSel: 0 nil lines, 1 one line, 3 an empty non-nil slice,
+		// anything else that many lines cycling through the components
+		// (7 is past the named ones).
+		switch n := int(lineSel % 8); n {
+		case 0:
+		case 3:
+			b.Lines = []LineItem{}
+		default:
+			for i := 0; i < n; i++ {
+				b.Lines = append(b.Lines, LineItem{
+					Component:   Component(i % 8),
+					Description: desc,
+					Quantity:    qty,
+					Amount:      units.Money(amount / int64(i+1)),
+				})
+			}
+		}
+		assertAppendJSONMatches(t, b)
+	})
 }
 
 func TestDecodeBillErrors(t *testing.T) {
@@ -91,4 +223,43 @@ func TestHashSpecCanonical(t *testing.T) {
 	if len(ha) != 64 {
 		t.Errorf("want hex sha256, got %q", ha)
 	}
+}
+
+// BenchmarkBillJSONMonthly renders a year of month bills the way a
+// monthly response nests them (depth 2, one reused buffer): the encode
+// layer of /v1/bill?monthly=1 and of every monthly batch item.
+func BenchmarkBillJSONMonthly(b *testing.B) {
+	load, err := hpc.SyntheticFacilityLoad(hpc.LoadProfileConfig{
+		Start: time.Date(2016, time.January, 1, 0, 0, 0, 0, time.UTC), Span: 365 * 24 * time.Hour,
+		Interval: 15 * time.Minute, Base: 12 * units.Megawatt, PeakToAverage: 1.6, NoiseSigma: 0.02, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &Contract{
+		Name: "bench-site",
+		Tariffs: []tariff.Tariff{
+			tariff.MustNewTOU(calendar.SeasonalDayNight(8, 20, nil), map[string]units.EnergyPrice{
+				"summer-peak": 0.04, "peak": 0.02, "offpeak": 0.005,
+			}),
+		},
+		DemandCharges: []*demand.Charge{demand.SimpleCharge(12)},
+		Powerbands:    []*demand.Powerband{demand.MustNewPowerband(6*units.Megawatt, 17*units.Megawatt, 0.25, 0.55)},
+		Fees:          []FixedFee{{Name: "metering", Amount: units.CurrencyUnits(420)}},
+	}
+	months, err := BillMonths(c, load, BillingInput{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		for _, m := range months {
+			if buf, err = m.AppendJSON(buf, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.SetBytes(int64(len(buf)))
 }

@@ -223,17 +223,31 @@ func FuzzColumnarEquivalence(f *testing.F) {
 	f.Add(int64(2016), uint16(420), uint16(9000), uint8(1))
 	f.Add(int64(-7), uint16(60), uint16(2100), uint8(2))
 	f.Add(int64(99), uint16(10800), uint16(800), uint8(3))
+	// Zurich starts a few days before each 2016 DST transition, on an
+	// interval that is not a divisor of the hour.
+	f.Add(int64(5), uint16(420), uint16(2400), uint8(4))
+	f.Add(int64(-1234), uint16(900), uint16(1300), uint8(5))
+	f.Add(int64(3599), uint16(420), uint16(3000), uint8(5))
+	zurich, err := time.LoadLocation("Europe/Zurich")
+	if err != nil {
+		// Without tzdata the DST starts fall back to UTC instants.
+		zurich = time.UTC
+	}
+	starts := []time.Time{
+		time.Date(2016, time.January, 31, 23, 59, 0, 0, time.UTC),
+		time.Date(2016, time.February, 28, 11, 13, 7, 0, time.UTC),
+		time.Date(2015, time.December, 15, 6, 30, 0, 0, time.UTC),
+		time.Date(2016, time.June, 1, 0, 0, 0, 0, time.UTC),
+		// 2016-03-27 02:00 CET jumps to 03:00 CEST.
+		time.Date(2016, time.March, 25, 22, 0, 0, 0, zurich),
+		// 2016-10-30 03:00 CEST falls back to 02:00 CET.
+		time.Date(2016, time.October, 28, 23, 0, 0, 0, zurich),
+	}
 	f.Fuzz(func(t *testing.T, seed int64, intervalSec uint16, n uint16, startSel uint8) {
 		if intervalSec == 0 || n == 0 {
 			t.Skip()
 		}
 		interval := time.Duration(intervalSec) * time.Second
-		starts := []time.Time{
-			time.Date(2016, time.January, 31, 23, 59, 0, 0, time.UTC),
-			time.Date(2016, time.February, 28, 11, 13, 7, 0, time.UTC),
-			time.Date(2015, time.December, 15, 6, 30, 0, 0, time.UTC),
-			time.Date(2016, time.June, 1, 0, 0, 0, 0, time.UTC),
-		}
 		start := starts[int(startSel)%len(starts)].Add(time.Duration(seed%3600) * time.Second)
 
 		samples := make([]units.Power, int(n))

@@ -20,6 +20,7 @@ import (
 	"repro/internal/contract"
 	"repro/internal/feed"
 	"repro/internal/hpc"
+	"repro/internal/jsonenc"
 	"repro/internal/obs"
 	"repro/internal/survey"
 	"repro/internal/timeseries"
@@ -134,7 +135,23 @@ func NamedProfiles() map[string]hpc.LoadProfileConfig {
 	}
 }
 
+// resolveSynthetic generates a load.synthetic profile. The explicit
+// ingest bounds apply before anything is generated: days and
+// interval_minutes must be non-negative and fit a time.Duration, and
+// the sample count they ask for must stay within the inline cap.
 func resolveSynthetic(sp SyntheticSpec) (*timeseries.PowerSeries, error) {
+	if sp.Days < 0 || sp.IntervalMinutes < 0 {
+		return nil, &boundError{fmt.Sprintf(
+			"load.synthetic: days (%d) and interval_minutes (%d) must not be negative", sp.Days, sp.IntervalMinutes)}
+	}
+	if int64(sp.Days) > maxSyntheticDays {
+		return nil, &boundError{fmt.Sprintf(
+			"load.synthetic: days %d overflows a duration (max %d)", sp.Days, maxSyntheticDays)}
+	}
+	if int64(sp.IntervalMinutes) > maxIntervalMinutes {
+		return nil, &boundError{fmt.Sprintf(
+			"load.synthetic: interval_minutes %d overflows a duration (max %d)", sp.IntervalMinutes, maxIntervalMinutes)}
+	}
 	cfg := hpc.LoadProfileConfig{
 		Start:         sp.Start,
 		Span:          time.Duration(sp.Days) * 24 * time.Hour,
@@ -161,6 +178,10 @@ func resolveSynthetic(sp SyntheticSpec) (*timeseries.PowerSeries, error) {
 	}
 	if sp.Seed == 0 {
 		cfg.Seed = 1
+	}
+	if n := cfg.Span / cfg.Interval; n > maxInlineSamples {
+		return nil, &boundError{fmt.Sprintf(
+			"load.synthetic asks for %d samples, more than %d (the inline sample cap)", n, maxInlineSamples)}
 	}
 	return hpc.SyntheticFacilityLoad(cfg)
 }
@@ -409,28 +430,60 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request, body []byte)
 // monthlyBillBody renders the monthly-billing response object — the
 // exact bytes /v1/bill?monthly=1 serves before its trailing newline,
 // shared with the batch endpoint so per-item batch bodies stay
-// byte-identical to sequential responses.
+// byte-identical to sequential responses. The envelope is written by
+// hand, byte for byte what json.MarshalIndent of
+//
+//	{contract, months []json.RawMessage, grand_total,
+//	 degraded omitempty, degraded_reason omitempty}
+//
+// would produce, with each month appended in place two levels deep.
+// The buffer is sized up front from a slight overestimate of a nested
+// month bill: about 310 bytes plus 200 per line item.
 func monthlyBillBody(eng *contract.Engine, bills []*contract.Bill, fr feedResolution) ([]byte, error) {
-	months := make([]json.RawMessage, len(bills))
+	size := 256 + len(eng.Contract().Name)
+	for _, b := range bills {
+		size += 320 + len(b.Contract) + 224*len(b.Lines)
+	}
+	data := make([]byte, 0, size)
+	data = append(data, '{')
+	data = jsonenc.Key(data, 1, "contract")
+	data = jsonenc.String(data, eng.Contract().Name)
+	data = append(data, ',')
+	data = jsonenc.Key(data, 1, "months")
+	data = append(data, '[')
+	var err error
 	for i, b := range bills {
-		data, err := b.JSON()
-		if err != nil {
+		if i > 0 {
+			data = append(data, ',')
+		}
+		data = jsonenc.Newline(data, 2)
+		if data, err = b.AppendJSON(data, 2); err != nil {
 			return nil, err
 		}
-		months[i] = data
 	}
-	return json.MarshalIndent(struct {
-		Contract       string            `json:"contract"`
-		Months         []json.RawMessage `json:"months"`
-		GrandTotal     float64           `json:"grand_total"`
-		Degraded       bool              `json:"degraded,omitempty"`
-		DegradedReason string            `json:"degraded_reason,omitempty"`
-	}{eng.Contract().Name, months, contract.TotalOf(bills).Float(),
-		fr.degraded(), degradedReason(fr)}, "", "  ")
+	if len(bills) > 0 {
+		data = jsonenc.Newline(data, 1)
+	}
+	data = append(data, "],"...)
+	data = jsonenc.Key(data, 1, "grand_total")
+	if data, err = jsonenc.Float(data, contract.TotalOf(bills).Float()); err != nil {
+		return nil, err
+	}
+	if fr.degraded() {
+		data = append(data, ',')
+		data = jsonenc.Key(data, 1, "degraded")
+		data = append(data, "true"...)
+	}
+	if reason := degradedReason(fr); reason != "" {
+		data = append(data, ',')
+		data = jsonenc.Key(data, 1, "degraded_reason")
+		data = jsonenc.String(data, reason)
+	}
+	return append(data, '\n', '}'), nil
 }
 
 // degradedReason returns the reason only for degraded resolutions, so
-// omitempty drops the field from healthy responses.
+// healthy responses carry no degraded_reason field.
 func degradedReason(fr feedResolution) string {
 	if fr.degraded() {
 		return fr.reason

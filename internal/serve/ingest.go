@@ -39,6 +39,13 @@ const maxInlineSamples = 366 * 24 * 60
 // time.Duration does not overflow.
 const maxIntervalSeconds = math.MaxInt64 / int64(time.Second)
 
+// maxSyntheticDays and maxIntervalMinutes are the longest load.synthetic
+// span and interval whose time.Duration does not overflow.
+const (
+	maxSyntheticDays   = math.MaxInt64 / int64(24*time.Hour)
+	maxIntervalMinutes = math.MaxInt64 / int64(time.Minute)
+)
+
 // boundError is a request refused by an explicit ingest bound rather
 // than by the JSON grammar or a field's own validation.
 type boundError struct{ msg string }

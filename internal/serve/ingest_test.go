@@ -227,6 +227,10 @@ func TestIngestBounds(t *testing.T) {
 		fmt.Fprintf(&csv, "%s,1\n", start.Add(time.Duration(i)*time.Minute).Format(time.RFC3339))
 	}
 	csvBody, _ := json.Marshal(BillRequest{Contract: spec, Load: LoadSpec{CSV: csv.String()}})
+	synthetic := func(days, intervalMinutes string) []byte {
+		return []byte(`{"contract":` + string(spec) + `,"load":{"synthetic":{"days":` + days +
+			`,"interval_minutes":` + intervalMinutes + `}}}`)
+	}
 
 	for _, tc := range []struct {
 		name, reason string
@@ -236,6 +240,12 @@ func TestIngestBounds(t *testing.T) {
 		{"series samples, encoding/json path", "an array holds more than 527040 samples", series("60", tooManyNull)},
 		{"csv rows", "load.csv holds more than 527040 samples", csvBody},
 		{"interval overflow", "interval_seconds 9223372037 overflows a duration", series("9223372037", "[1,2]")},
+		{"synthetic samples", "load.synthetic asks for 1051200 samples, more than 527040", synthetic("730", "1")},
+		{"synthetic samples, default interval", "load.synthetic asks for 960000 samples", synthetic("10000", "0")},
+		{"synthetic negative days", "days (-1) and interval_minutes (15) must not be negative", synthetic("-1", "15")},
+		{"synthetic negative interval", "days (30) and interval_minutes (-15) must not be negative", synthetic("30", "-15")},
+		{"synthetic days overflow", "days 106752 overflows a duration", synthetic("106752", "15")},
+		{"synthetic interval overflow", "interval_minutes 153722868 overflows a duration", synthetic("30", "153722868")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, body := postRaw(t, h, "/v1/bill", tc.body)
@@ -243,6 +253,16 @@ func TestIngestBounds(t *testing.T) {
 				t.Errorf("got %d %s, want 400 naming %q", code, body, tc.reason)
 			}
 		})
+	}
+
+	// The largest synthetic load the cap allows is generated; the
+	// largest span and interval that fit a duration pass the overflow
+	// bounds.
+	if load, err := resolveSynthetic(SyntheticSpec{Days: 366, IntervalMinutes: 1}); err != nil || load.Len() != maxInlineSamples {
+		t.Errorf("synthetic load at the cap: %v", err)
+	}
+	if _, err := resolveSynthetic(SyntheticSpec{Days: int(maxSyntheticDays), IntervalMinutes: int(maxIntervalMinutes)}); isBound(err) {
+		t.Errorf("max synthetic span and interval refused by a bound: %v", err)
 	}
 
 	// The largest interval that fits is accepted.

@@ -59,7 +59,7 @@ func kitchenSinkSpec() *contract.Spec {
 	}
 }
 
-func specJSON(t *testing.T, s *contract.Spec) json.RawMessage {
+func specJSON(t testing.TB, s *contract.Spec) json.RawMessage {
 	t.Helper()
 	data, err := contract.EncodeSpec(s)
 	if err != nil {

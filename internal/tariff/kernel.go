@@ -9,8 +9,8 @@ package tariff
 //   - TOU: the schedule is lowered to a month × day-kind × hour price
 //     cube at compile time (calendar.LabelForSlot guarantees the label
 //     is a pure function of that triple), and the scanner advances the
-//     effective price once per wall-clock hour segment instead of per
-//     sample.
+//     effective price once per price run — the hours of one calendar
+//     day that share a cube price — instead of per sample.
 //   - Dynamic: the feed's slot grid is walked segment-wise with the
 //     same clamping PriceSeries.PriceAt applies at the edges.
 //
@@ -19,6 +19,7 @@ package tariff
 // sample-walk path for the whole contract.
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/billing"
@@ -189,7 +190,7 @@ func (k *touCostKernel) newScanner() costScanner {
 
 // touCostScanner reproduces priceAtAcc for a TOU tariff: every sample's
 // energy is billed at the slot price of its interval start, rounding
-// per sample. The effective price advances per wall-clock hour segment;
+// per sample. The effective price advances per price run (see advance);
 // each advance re-derives (month, day-kind, hour) from the exact sample
 // instant, so irregular intervals and DST transitions stay exact (a
 // segment that cannot make progress degrades to per-sample advancing).
@@ -243,7 +244,13 @@ func (s *touCostScanner) scan(samples []units.Power, base int) {
 }
 
 // advance recomputes the effective price at sample index i and the
-// first index past the current wall-clock hour.
+// first index past the price run that holds it: the current wall-clock
+// hour, extended over the following hours of the same calendar day
+// whose cube price is equal. The extension is taken only when the zone
+// offset in force at the sample also covers the whole run, from the
+// top of its first hour to its end; otherwise the segment stays one
+// hour, exactly as before runs existed. Runs end at midnight at the
+// latest, so the cached day-kind holds across them.
 func (s *touCostScanner) advance(i int) {
 	t := s.start.Add(time.Duration(i) * s.interval)
 	y, mo, d := t.Date()
@@ -253,8 +260,26 @@ func (s *touCostScanner) advance(i int) {
 		s.haveDay = true
 	}
 	hour := t.Hour()
-	s.price = s.cube[mo-1][s.kind][hour]
-	boundary := time.Date(y, mo, d, hour, 0, 0, 0, t.Location()).Add(time.Hour)
+	day := &s.cube[mo-1][s.kind]
+	s.price = day[hour]
+	top := time.Date(y, mo, d, hour, 0, 0, 0, t.Location())
+	boundary := top.Add(time.Hour)
+	run := 1
+	for hour+run < 24 && samePrice(day[hour+run], s.price) {
+		run++
+	}
+	if run > 1 {
+		// The run is exact only if the wall clock advances with absolute
+		// time from the top of the hour to the run end: one zone period
+		// covers both, and the top really reads hour:00 (time.Date
+		// normalizes a top that falls in a sub-hour DST gap elsewhere).
+		runEnd := boundary.Add(time.Duration(run-1) * time.Hour)
+		zoneStart, zoneEnd := t.ZoneBounds()
+		topHour, topMin, _ := top.Clock()
+		if topHour == hour && topMin == 0 && !top.Before(zoneStart) && (zoneEnd.IsZero() || !runEnd.After(zoneEnd)) {
+			boundary = runEnd
+		}
+	}
 	seg := billing.CeilIndex(boundary.Sub(s.start), s.interval)
 	if seg <= i {
 		// Wall clock stalled or stepped back (DST fall-back's repeated
@@ -263,6 +288,12 @@ func (s *touCostScanner) advance(i int) {
 		seg = i + 1
 	}
 	s.segEnd = seg
+}
+
+// samePrice reports whether two cube prices are the same float64 bit
+// for bit, so that every sample either prices costs exactly the same.
+func samePrice(a, b units.EnergyPrice) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
 }
 
 func (s *touCostScanner) amount() units.Money { return s.total }
