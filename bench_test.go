@@ -366,6 +366,41 @@ func BenchmarkBillYearEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkBillYearCPP bills the bench year with the TOU rider wrapped
+// in critical-peak pricing: twelve declared four-hour events, one per
+// month. CPP tariffs have no dedicated kernel, so this measures the
+// per-sample PriceAt kernel on the same contract shape as
+// BenchmarkBillYearEngine.
+func BenchmarkBillYearCPP(b *testing.B) {
+	c, load := benchYearContract(b)
+	cpp, err := tariff.NewCPP(c.Tariffs[1], 0.45, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for m := 0; m < 12; m++ {
+		at := benchStart.AddDate(0, m, 14).Add(14 * time.Hour)
+		if err := cpp.Declare(tariff.CriticalWindow{Start: at, End: at.Add(4 * time.Hour)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	c.Tariffs[1] = cpp
+	eng, err := contract.NewEngine(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bills, err := eng.BillMonths(load, contract.BillingInput{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(bills) != 12 {
+			b.Fatalf("months = %d", len(bills))
+		}
+	}
+}
+
 // BenchmarkOptimizeYear is the optimizer's acceptance benchmark: a full
 // 2000-candidate annealing search over the metered year against the
 // bench contract, priced through the incremental re-bill fast path.

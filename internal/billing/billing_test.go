@@ -21,16 +21,19 @@ func series(kw ...float64) *timeseries.PowerSeries {
 	return timeseries.MustNewPower(t0, time.Hour, samples)
 }
 
-// probe is a test producer that records every sample it observes.
+// probe is a test producer whose scanner records every sample it scans:
+// its period-relative index, its interval-start instant derived from
+// base, and its power.
 type probe struct {
 	name    string
+	family  string
 	invalid bool
-	// begun counts BeginPeriod calls across goroutines; last is the
-	// most recent accumulator (only meaningful for single-period runs,
-	// but stored atomically because month workers begin periods
+	// begun counts scanner Begin calls across goroutines; last is the
+	// most recently begun scanner (only meaningful for single-period
+	// runs, but stored atomically because month workers begin periods
 	// concurrently).
 	begun atomic.Int64
-	last  atomic.Pointer[probeAcc]
+	last  atomic.Pointer[probeScanner]
 }
 
 func (p *probe) Validate() error {
@@ -42,29 +45,50 @@ func (p *probe) Validate() error {
 
 func (p *probe) Describe() string { return p.name }
 
-func (p *probe) BeginPeriod(ctx *PeriodContext, interval time.Duration) Accumulator {
-	p.begun.Add(1)
-	a := &probeAcc{name: p.name, hist: ctx.HistoricalPeak, interval: interval}
-	p.last.Store(a)
-	return a
+func (p *probe) SpanFamily() string { return p.family }
+
+func (p *probe) CompileKernel() Kernel { return probeKernel{p: p} }
+
+type probeKernel struct{ p *probe }
+
+func (k probeKernel) NewScanner() Scanner { return &probeScanner{p: k.p} }
+
+// probeSample is one scanned sample as the probe reconstructs it.
+type probeSample struct {
+	index int
+	time  time.Time
+	power units.Power
 }
 
-type probeAcc struct {
-	name     string
-	hist     units.Power
+type probeScanner struct {
+	p        *probe
+	start    time.Time
 	interval time.Duration
-	samples  []Sample
+	hist     units.Power
+	samples  []probeSample
 }
 
-func (a *probeAcc) Observe(s Sample) { a.samples = append(a.samples, s) }
+func (s *probeScanner) Begin(pctx *PeriodContext, start time.Time, interval time.Duration, _ int) {
+	s.p.begun.Add(1)
+	s.start, s.interval, s.hist = start, interval, pctx.HistoricalPeak
+	s.samples = s.samples[:0]
+	s.p.last.Store(s)
+}
 
-func (a *probeAcc) Lines() []LineItem {
-	return []LineItem{{
+func (s *probeScanner) Scan(samples []units.Power, base int) {
+	for j, p := range samples {
+		i := base + j
+		s.samples = append(s.samples, probeSample{index: i, time: s.start.Add(time.Duration(i) * s.interval), power: p})
+	}
+}
+
+func (s *probeScanner) AppendLines(dst []LineItem) []LineItem {
+	return append(dst, LineItem{
 		Class:       ClassFlatFee,
-		Description: a.name,
+		Description: s.p.name,
 		Quantity:    "flat",
-		Amount:      units.Money(len(a.samples)),
-	}}
+		Amount:      units.Money(len(s.samples)),
+	})
 }
 
 func TestClassNames(t *testing.T) {
@@ -129,7 +153,7 @@ func TestEvaluatePeriodSamplesAndAggregates(t *testing.T) {
 	if !res.PeriodStart.Equal(load.Start()) || !res.PeriodEnd.Equal(load.End()) {
 		t.Error("period bounds")
 	}
-	// The probe observed every sample once, in order, with shared energy.
+	// The probe scanned every sample once, in order.
 	if len(res.Lines) != 1 || res.Lines[0].Amount != units.Money(3) {
 		t.Fatalf("lines = %+v", res.Lines)
 	}
@@ -137,26 +161,26 @@ func TestEvaluatePeriodSamplesAndAggregates(t *testing.T) {
 		t.Errorf("total = %v", res.Total)
 	}
 	if p.begun.Load() != 1 {
-		t.Errorf("BeginPeriod calls = %d", p.begun.Load())
+		t.Errorf("Begin calls = %d", p.begun.Load())
 	}
-	// Sample contents: index order, interval-start timestamps, shared
-	// precomputed energy (power × 1 h here).
-	obs := p.last.Load().samples
-	if len(obs) != 3 {
-		t.Fatalf("observed %d samples", len(obs))
+	// Sample contents: index order, interval-start timestamps derived
+	// from base, and the load's own powers.
+	last := p.last.Load()
+	if len(last.samples) != 3 {
+		t.Fatalf("scanned %d samples", len(last.samples))
 	}
-	for i, s := range obs {
-		if s.Index != i {
-			t.Errorf("sample %d index = %d", i, s.Index)
+	for i, s := range last.samples {
+		if s.index != i {
+			t.Errorf("sample %d index = %d", i, s.index)
 		}
-		if !s.Time.Equal(t0.Add(time.Duration(i) * time.Hour)) {
-			t.Errorf("sample %d time = %v", i, s.Time)
+		if !s.time.Equal(t0.Add(time.Duration(i) * time.Hour)) {
+			t.Errorf("sample %d time = %v", i, s.time)
 		}
-		if float64(s.Energy) != float64(s.Power) {
-			t.Errorf("sample %d energy = %v for power %v", i, s.Energy, s.Power)
+		if s.power != load.At(i) {
+			t.Errorf("sample %d power = %v, want %v", i, s.power, load.At(i))
 		}
 	}
-	if last := p.last.Load(); last.hist != 500 || last.interval != time.Hour {
+	if last.hist != 500 || last.interval != time.Hour {
 		t.Errorf("context plumbed = %v/%v", last.hist, last.interval)
 	}
 }
@@ -198,17 +222,20 @@ func TestEvaluateMonthsEmptyAndSingle(t *testing.T) {
 // what the prescan threaded into each month.
 type ratchetProbe struct{}
 
-func (ratchetProbe) Validate() error  { return nil }
-func (ratchetProbe) Describe() string { return "ratchet-probe" }
-func (ratchetProbe) BeginPeriod(ctx *PeriodContext, _ time.Duration) Accumulator {
-	return &ratchetProbeAcc{hist: ctx.HistoricalPeak}
+func (ratchetProbe) Validate() error       { return nil }
+func (ratchetProbe) Describe() string      { return "ratchet-probe" }
+func (ratchetProbe) SpanFamily() string    { return "demand" }
+func (ratchetProbe) CompileKernel() Kernel { return ratchetProbe{} }
+func (ratchetProbe) NewScanner() Scanner   { return &ratchetProbeScanner{} }
+
+type ratchetProbeScanner struct{ hist units.Power }
+
+func (s *ratchetProbeScanner) Begin(pctx *PeriodContext, _ time.Time, _ time.Duration, _ int) {
+	s.hist = pctx.HistoricalPeak
 }
-
-type ratchetProbeAcc struct{ hist units.Power }
-
-func (a *ratchetProbeAcc) Observe(Sample) {}
-func (a *ratchetProbeAcc) Lines() []LineItem {
-	return []LineItem{{Class: ClassDemandCharge, Description: "hist", Amount: units.Money(a.hist)}}
+func (s *ratchetProbeScanner) Scan([]units.Power, int) {}
+func (s *ratchetProbeScanner) AppendLines(dst []LineItem) []LineItem {
+	return append(dst, LineItem{Class: ClassDemandCharge, Description: "hist", Amount: units.Money(s.hist)})
 }
 
 func TestEvaluateMonthsThreadsHistoricalPeak(t *testing.T) {

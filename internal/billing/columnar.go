@@ -1,15 +1,14 @@
 package billing
 
-// Columnar evaluation: the tight-slice-scan twin of the per-sample
-// accumulator walk in billing.go. The period's load is viewed as
-// contiguous month blocks (timeseries.MonthBlock); each block is fed to
-// every compiled scanner chunk-at-a-time, so the inner loops are plain
-// []units.Power scans with no interface dispatch per sample. Built-in
-// energy/peak aggregates, context polling (every cancelCheckStride
-// samples untraced, every traceBlock samples traced) and the per-family
-// span attribution of the traced path are preserved exactly; the
-// arithmetic is bit-identical to the legacy walk by the kernel
-// compilation contract (kernel.go).
+// Columnar evaluation, the engine's one evaluation loop. The period's
+// load is viewed as contiguous month blocks (timeseries.MonthBlock);
+// each block is fed to every compiled scanner chunk-at-a-time, so the
+// inner loops are plain []units.Power scans with no interface dispatch
+// per sample. The built-in energy/peak aggregates ride the same chunk
+// loop, and the context is polled once per chunk: every
+// cancelCheckStride samples untraced, every traceBlock samples when a
+// span registry rides the context, which also times each component
+// family's scanners per chunk.
 
 import (
 	"context"
@@ -20,25 +19,29 @@ import (
 	"repro/internal/units"
 )
 
-// scanSet is the pooled per-evaluation state of the columnar path: one
-// scanner per kernel, the trace-family grouping of those scanners, the
-// month-block scratch, and the period context handed to Begin (kept on
-// the set so taking its address does not force a heap escape per
-// period).
+// scanSet is the pooled per-evaluation state: one scanner per kernel,
+// the trace-family grouping of those scanners, the month-block scratch,
+// the per-family span accumulators, and the period context handed to
+// Begin (kept on the set so taking its address does not force a heap
+// escape per period).
 type scanSet struct {
 	scanners []Scanner
 	groups   [][]Scanner
 	blocks   []timeseries.MonthBlock
+	nanos    []time.Duration
 	pctx     PeriodContext
 }
 
 // newScanSet builds the pool's scanSet from the compiled kernels.
 func (e *Evaluator) newScanSet() *scanSet {
-	ss := &scanSet{scanners: make([]Scanner, len(e.kernels))}
+	ss := &scanSet{
+		scanners: make([]Scanner, len(e.kernels)),
+		groups:   make([][]Scanner, len(e.famIdx)),
+		nanos:    make([]time.Duration, len(e.famIdx)),
+	}
 	for i, k := range e.kernels {
 		ss.scanners[i] = k.NewScanner()
 	}
-	ss.groups = make([][]Scanner, len(e.famIdx))
 	for g, idx := range e.famIdx {
 		ss.groups[g] = make([]Scanner, len(idx))
 		for j, i := range idx {
@@ -48,9 +51,8 @@ func (e *Evaluator) newScanSet() *scanSet {
 	return ss
 }
 
-// evaluateColumnar is the columnar counterpart of the sample walk in
-// evaluatePeriodInto. load is non-empty and ctx not yet cancelled
-// (checked by the caller).
+// evaluateColumnar streams one period through the scanners. load is
+// non-empty and ctx not yet cancelled (checked by the caller).
 func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.PowerSeries, pctx PeriodContext, res *Result) error {
 	ss := e.pool.Get().(*scanSet)
 	defer e.pool.Put(ss)
@@ -64,8 +66,16 @@ func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.Power
 	}
 	ss.blocks = load.AppendBlocks(ss.blocks)
 
-	if reg := obs.SpansFrom(ctx); reg != nil {
-		return e.columnarTraced(ctx, reg, load, ss, res)
+	// A span registry on the context switches on per-family timing:
+	// shorter chunks, and each family's end clock reading is the next
+	// family's start, so G+1 clock reads per chunk for G families.
+	reg := obs.SpansFrom(ctx)
+	stride := cancelCheckStride
+	var endPeriod func()
+	if reg != nil {
+		endPeriod = obs.Span(ctx, SpanPeriod)
+		stride = traceBlock
+		clear(ss.nanos)
 	}
 
 	done := ctx.Done()
@@ -75,7 +85,7 @@ func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.Power
 	peakIdx := 0
 	for _, blk := range ss.blocks {
 		samples := blk.Samples
-		for off := 0; off < len(samples); off += cancelCheckStride {
+		for off := 0; off < len(samples); off += stride {
 			if done != nil {
 				select {
 				case <-done:
@@ -83,7 +93,7 @@ func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.Power
 				default:
 				}
 			}
-			end := off + cancelCheckStride
+			end := off + stride
 			if end > len(samples) {
 				end = len(samples)
 			}
@@ -96,78 +106,35 @@ func (e *Evaluator) evaluateColumnar(ctx context.Context, load *timeseries.Power
 					peak, peakIdx = p, base+j
 				}
 			}
-			for _, sc := range ss.scanners {
-				sc.Scan(chunk, base)
+			var t0 time.Time
+			if reg != nil {
+				t0 = e.now()
 			}
-		}
-	}
-	e.finishColumnar(ss, load, res, kwh, peak, peakIdx)
-	return nil
-}
-
-// columnarTraced is the span-recording twin of the columnar loop: same
-// chunking as the traced sample walk (traceBlock), with each component
-// family's scanners timed per chunk so observation cost attributes to
-// "billing.<family>" spans exactly as on the legacy path.
-func (e *Evaluator) columnarTraced(ctx context.Context, reg *obs.Registry, load *timeseries.PowerSeries, ss *scanSet, res *Result) error {
-	endPeriod := obs.Span(ctx, SpanPeriod)
-	done := ctx.Done()
-	h := load.Interval().Hours()
-	var kwh float64
-	peak := load.At(0)
-	peakIdx := 0
-	nanos := make([]time.Duration, len(ss.groups))
-	for _, blk := range ss.blocks {
-		samples := blk.Samples
-		for off := 0; off < len(samples); off += traceBlock {
-			if done != nil {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			end := off + traceBlock
-			if end > len(samples) {
-				end = len(samples)
-			}
-			chunk := samples[off:end]
-			base := blk.Offset + off
-			for j, p := range chunk {
-				en := float64(p) * h
-				kwh += en
-				if p > peak {
-					peak, peakIdx = p, base+j
-				}
-			}
-			// Each family's end reading is the next family's start: G+1
-			// clock reads per chunk for G families.
-			t0 := e.now()
 			for g, group := range ss.groups {
 				for _, sc := range group {
 					sc.Scan(chunk, base)
 				}
-				t1 := e.now()
-				nanos[g] += t1.Sub(t0)
-				t0 = t1
+				if reg != nil {
+					t1 := e.now()
+					ss.nanos[g] += t1.Sub(t0)
+					t0 = t1
+				}
 			}
 		}
 	}
-	for g, name := range e.famNames {
-		reg.Observe(SpanFamilyPrefix+name, nanos[g].Seconds())
-	}
 	e.finishColumnar(ss, load, res, kwh, peak, peakIdx)
-	endPeriod()
+	if reg != nil {
+		for g, name := range e.famNames {
+			reg.Observe(SpanFamilyPrefix+name, ss.nanos[g].Seconds())
+		}
+		endPeriod()
+	}
 	return nil
 }
 
-// finishColumnar assembles the period result from the scanners.
+// finishColumnar assembles the period result from the scanners. It
+// assigns every field of res, so a reused Result slot needs no reset.
 func (e *Evaluator) finishColumnar(ss *scanSet, load *timeseries.PowerSeries, res *Result, kwh float64, peak units.Power, peakIdx int) {
-	res.PeriodStart = load.Start()
-	res.PeriodEnd = load.End()
-	res.Energy = units.Energy(kwh)
-	res.Peak = peak
-	res.PeakTime = load.TimeAt(peakIdx)
 	lines := make([]LineItem, 0, len(ss.scanners))
 	for _, sc := range ss.scanners {
 		lines = sc.AppendLines(lines)
@@ -176,6 +143,13 @@ func (e *Evaluator) finishColumnar(ss *scanSet, load *timeseries.PowerSeries, re
 	for _, l := range lines {
 		total += l.Amount
 	}
-	res.Lines = lines
-	res.Total = total
+	*res = Result{
+		PeriodStart: load.Start(),
+		PeriodEnd:   load.End(),
+		Energy:      units.Energy(kwh),
+		Peak:        peak,
+		PeakTime:    load.TimeAt(peakIdx),
+		Lines:       lines,
+		Total:       total,
+	}
 }

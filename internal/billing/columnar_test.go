@@ -1,14 +1,16 @@
 package billing
 
-// Columnar-path mechanics: chunking, cancellation polling, tracing and
-// scanner reuse. Arithmetic equivalence against the sample walk is
-// pinned end to end by contract's golden and fuzz suites; these tests
-// cover the evaluator-level contract of the columnar machinery itself.
+// Columnar-loop mechanics: chunking, cancellation polling, tracing,
+// scanner reuse and mandatory kernel compilation. Arithmetic
+// equivalence against the multi-pass oracle is pinned end to end by
+// contract's golden and fuzz suites; these tests cover the
+// evaluator-level contract of the columnar machinery itself.
 
 import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,10 +36,6 @@ type scanProbe struct {
 func (p *scanProbe) Validate() error    { return nil }
 func (p *scanProbe) Describe() string   { return p.name }
 func (p *scanProbe) SpanFamily() string { return p.family }
-
-func (p *scanProbe) BeginPeriod(*PeriodContext, time.Duration) Accumulator {
-	panic("scanProbe: sample-walk path must not run in columnar tests")
-}
 
 func (p *scanProbe) CompileKernel() Kernel { return (*scanProbeKernel)(p) }
 
@@ -91,9 +89,6 @@ func TestColumnarChunksPartitionPeriod(t *testing.T) {
 		e, err := NewEvaluator(p)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !e.Columnar() {
-			t.Fatal("probe kernel should compile")
 		}
 		load := twoMonthLoad()
 		ctx := context.Background()
@@ -160,9 +155,6 @@ func TestColumnarTracedMatchesUntracedAndRecordsSpans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !e.Columnar() {
-			t.Fatal("kernels should compile")
-		}
 		return e
 	}
 	plain, err := mk().EvaluatePeriod(load, PeriodContext{})
@@ -209,19 +201,21 @@ func TestColumnarScannerReuse(t *testing.T) {
 	}
 }
 
-// TestSetColumnarRefusedWithoutKernels: a producer without a kernel
-// keeps the evaluator on the sample walk, and SetColumnar cannot force
-// it columnar.
-func TestSetColumnarRefusedWithoutKernels(t *testing.T) {
-	e, err := NewEvaluator(&probe{name: "p"})
-	if err != nil {
-		t.Fatal(err)
+// nilKernelProbe is a producer that compiles no kernel.
+type nilKernelProbe struct{ probe }
+
+func (*nilKernelProbe) CompileKernel() Kernel { return nil }
+
+// TestNewEvaluatorRejectsMissingKernel: compilation is total — a
+// producer whose CompileKernel returns nil is a construction error, not
+// a silent fallback to another evaluation path.
+func TestNewEvaluatorRejectsMissingKernel(t *testing.T) {
+	_, err := NewEvaluator(FlatFee{Name: "metering"}, &nilKernelProbe{probe: probe{name: "p"}})
+	if err == nil {
+		t.Fatal("NewEvaluator accepted a producer without a kernel")
 	}
-	if e.Columnar() {
-		t.Fatal("probe has no kernel; evaluator must start on the sample walk")
-	}
-	if e.SetColumnar(true) {
-		t.Fatal("SetColumnar(true) must be refused without kernels")
+	if !strings.Contains(err.Error(), "producer 1") || !strings.Contains(err.Error(), "no kernel") {
+		t.Errorf("err = %v, want it to name producer 1 and the missing kernel", err)
 	}
 }
 

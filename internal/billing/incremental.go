@@ -188,10 +188,6 @@ func (im *IncrementalMonths) Stage(ctx context.Context, touched []int) (units.Mo
 		}
 		mctx := im.pctx
 		mctx.HistoricalPeak = im.stageHist[i]
-		// Reset the staged slot before reuse: the sample-walk path
-		// appends to Lines while the columnar path assigns it, so a
-		// stale slot must present an empty (capacity-preserving) state.
-		im.stageResults[i] = Result{Lines: im.stageResults[i].Lines[:0]}
 		if err := im.eval.evaluatePeriodInto(ctx, &im.months[i], mctx, &im.stageResults[i]); err != nil {
 			im.Discard()
 			return 0, err
@@ -212,9 +208,7 @@ func (im *IncrementalMonths) Commit() {
 	}
 	for i := range im.dirty {
 		if im.dirty[i] {
-			// Swap rather than copy so both slots keep their line-item
-			// capacity for reuse.
-			im.results[i], im.stageResults[i] = im.stageResults[i], im.results[i]
+			im.results[i] = im.stageResults[i]
 			im.dirty[i] = false
 		}
 	}

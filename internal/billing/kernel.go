@@ -1,18 +1,17 @@
 package billing
 
-// Columnar kernel interfaces. A Kernel is the compiled, columnar twin
-// of a LineItemProducer: where an Accumulator observes boxed Samples
-// one at a time through an interface call, a Scanner consumes
-// contiguous []units.Power chunks of a month block in a tight loop —
-// no per-sample dispatch, near-zero allocation. Producers opt in by
-// implementing KernelProducer; the evaluator takes the columnar path
-// only when every producer compiles (a single holdout falls the whole
-// evaluation back to the sample-walk oracle, keeping bills exact).
+// Columnar kernel interfaces. Every LineItemProducer compiles itself
+// into a Kernel, and a Kernel's Scanner consumes contiguous
+// []units.Power chunks of a month block in a tight loop — no per-sample
+// dispatch, near-zero allocation. Compilation is total: NewEvaluator
+// rejects a producer without a kernel, so the columnar loop is the
+// engine's only evaluation path.
 //
 // The compilation contract is strict arithmetic identity: a scanner
 // must perform the same floating-point operations in the same order as
-// the producer's accumulator, so the columnar path is byte-identical to
-// the legacy path bill-for-bill (pinned by contract's golden tests).
+// its component's standalone Cost method, so evaluation is
+// byte-identical to the multi-pass oracle (contract.ComputeBillLegacy)
+// bill-for-bill, pinned by contract's golden and equivalence tests.
 
 import (
 	"time"
@@ -46,19 +45,8 @@ type Scanner interface {
 	AppendLines(dst []LineItem) []LineItem
 }
 
-// KernelProducer is an optional LineItemProducer extension: producers
-// that can compile themselves into a columnar kernel implement it.
-// CompileKernel may return nil when this particular instance cannot be
-// compiled (e.g. a tariff stack containing a non-compilable component);
-// the evaluator then keeps the sample-walk path for the whole contract.
-type KernelProducer interface {
-	CompileKernel() Kernel
-}
-
 // CompileKernel compiles the flat fee: no per-sample work at all.
 func (f FlatFee) CompileKernel() Kernel { return feeKernel{fee: f} }
-
-var _ KernelProducer = FlatFee{}
 
 type feeKernel struct{ fee FlatFee }
 

@@ -1,13 +1,13 @@
 package contract
 
-// Columnar ≡ sample-walk ≡ legacy equivalence. The engine defaults to
-// the columnar path whenever every component compiles a kernel, so the
-// existing golden tests already cross-check columnar vs legacy; this
-// suite pins the remaining triangle edge (columnar vs the engine's own
-// sample walk via SetColumnar) and stresses the cases where the
-// columnar representation could plausibly diverge: DST transition
-// months, partial first/last months, series whose chunk boundaries
-// straddle month edges, and a fuzz target over random geometries.
+// Columnar ≡ legacy equivalence. The engine's only evaluation path is
+// the columnar one, so the golden tests already cross-check it against
+// the legacy multi-pass oracle on the shipped examples; this suite
+// stresses the cases where the columnar representation could plausibly
+// diverge: DST transition months, partial first/last months, series
+// whose chunk boundaries straddle month edges, CPP tariffs (PriceAt
+// kernel) with overlapping and month-straddling critical windows, and
+// a fuzz target over random geometries.
 
 import (
 	"math"
@@ -21,19 +21,20 @@ import (
 	"repro/internal/units"
 )
 
-// assertColumnarTriangle bills the case on the columnar path, the
-// engine's sample-walk path, and the legacy multi-pass path, and
-// requires identical bills from all three — single period and monthly.
-func assertColumnarTriangle(t *testing.T, name string, c *Contract, load *timeseries.PowerSeries, in BillingInput) {
+// assertColumnarMatchesLegacy bills the case on the engine and on the
+// legacy multi-pass oracle and requires identical bills — single
+// period and monthly.
+func assertColumnarMatchesLegacy(t *testing.T, name string, c *Contract, load *timeseries.PowerSeries, in BillingInput) {
 	t.Helper()
 	eng, err := NewEngine(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Columnar() {
-		t.Fatalf("%s: engine did not compile to the columnar path", name)
-	}
+	assertEngineMatchesLegacy(t, name, eng, load, in)
+}
 
+func assertEngineMatchesLegacy(t *testing.T, name string, eng *Engine, load *timeseries.PowerSeries, in BillingInput) {
+	t.Helper()
 	colBill, err := eng.Bill(load, in)
 	if err != nil {
 		t.Fatal(err)
@@ -42,37 +43,21 @@ func assertColumnarTriangle(t *testing.T, name string, c *Contract, load *timese
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	eng.SetColumnar(false)
-	walkBill, err := eng.Bill(load, in)
+	legacyBill, err := ComputeBillLegacy(eng.Contract(), load, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walkMonths, err := eng.BillMonths(load, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eng.SetColumnar(true) {
-		t.Fatalf("%s: could not re-enable columnar path", name)
-	}
-
-	legacyBill, err := ComputeBillLegacy(c, load, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyMonths, err := BillMonthsLegacy(c, load, in)
+	legacyMonths, err := BillMonthsLegacy(eng.Contract(), load, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	assertBillsIdentical(t, name+"/columnar-vs-walk", colBill, walkBill)
 	assertBillsIdentical(t, name+"/columnar-vs-legacy", colBill, legacyBill)
-	if len(colMonths) != len(walkMonths) || len(colMonths) != len(legacyMonths) {
-		t.Fatalf("%s: month counts %d / %d / %d", name, len(colMonths), len(walkMonths), len(legacyMonths))
+	if len(colMonths) != len(legacyMonths) {
+		t.Fatalf("%s: month counts %d / %d", name, len(colMonths), len(legacyMonths))
 	}
 	for i := range colMonths {
 		label := name + "/" + colMonths[i].PeriodStart.Format("2006-01")
-		assertBillsIdentical(t, label+"/columnar-vs-walk", colMonths[i], walkMonths[i])
 		assertBillsIdentical(t, label+"/columnar-vs-legacy", colMonths[i], legacyMonths[i])
 	}
 }
@@ -142,7 +127,7 @@ func columnarInput(start time.Time) BillingInput {
 func TestColumnarEquivalenceUTCYear(t *testing.T) {
 	start := time.Date(2016, time.January, 1, 0, 0, 0, 0, time.UTC)
 	load := columnarLoad(start, 15*time.Minute, 366*24*4)
-	assertColumnarTriangle(t, "utc-leap-year", columnarContract(t, start, 400), load, columnarInput(start))
+	assertColumnarMatchesLegacy(t, "utc-leap-year", columnarContract(t, start, 400), load, columnarInput(start))
 }
 
 func TestColumnarEquivalencePartialMonths(t *testing.T) {
@@ -150,7 +135,7 @@ func TestColumnarEquivalencePartialMonths(t *testing.T) {
 	// first and last months, odd alignment against hour and feed slots.
 	start := time.Date(2016, time.March, 17, 13, 7, 0, 0, time.UTC)
 	load := columnarLoad(start, 7*time.Minute, 18000)
-	assertColumnarTriangle(t, "partial-months", columnarContract(t, start.Add(26*time.Hour), 300), load, columnarInput(start))
+	assertColumnarMatchesLegacy(t, "partial-months", columnarContract(t, start.Add(26*time.Hour), 300), load, columnarInput(start))
 }
 
 func TestColumnarEquivalenceZurichDST(t *testing.T) {
@@ -173,61 +158,93 @@ func TestColumnarEquivalenceZurichDST(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			load := columnarLoad(tc.start, 15*time.Minute, tc.n)
-			assertColumnarTriangle(t, tc.name, columnarContract(t, tc.start, 24*20), load, columnarInput(tc.start))
+			assertColumnarMatchesLegacy(t, tc.name, columnarContract(t, tc.start, 24*20), load, columnarInput(tc.start))
 		})
 	}
 }
 
-// TestColumnarFallsBackOnCPP pins the all-or-nothing compilation rule:
-// a CPP tariff has no kernel, so the whole engine stays on the sample
-// walk — and still bills correctly.
-func TestColumnarFallsBackOnCPP(t *testing.T) {
-	cpp, err := tariff.NewCPP(tariff.MustNewFixed(0.05), 0.75, 4)
+// cppTariffs returns two CPP tariffs for a load starting at start: one
+// over a TOU base, one over a fixed base inside a stack. Both carry two
+// overlapping windows on the second day and one that straddles the
+// first month edge after start; shift moves the first pair.
+func cppTariffs(t *testing.T, start time.Time, shift time.Duration) []tariff.Tariff {
+	t.Helper()
+	onTOU, err := tariff.NewCPP(tariff.MustNewTOU(calendar.SeasonalDayNight(7, 21, nil), map[string]units.EnergyPrice{
+		"summer-peak": 0.041, "peak": 0.021, "offpeak": 0.006,
+	}), 0.93, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Contract{
-		Name:          "cpp-site",
-		Tariffs:       []tariff.Tariff{cpp},
-		DemandCharges: []*demand.Charge{demand.SimpleCharge(12)},
+	onFixed, err := tariff.NewCPP(tariff.MustNewFixed(0.05), 0.75, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	y, m, _ := start.Date()
+	edge := time.Date(y, m+1, 1, 0, 0, 0, 0, start.Location())
+	for _, w := range []tariff.CriticalWindow{
+		{Start: start.Add(31*time.Hour + shift), End: start.Add(34*time.Hour + shift)},
+		{Start: start.Add(32*time.Hour + shift), End: start.Add(36*time.Hour + 20*time.Minute + shift)},
+		{Start: edge.Add(-95 * time.Minute), End: edge.Add(150 * time.Minute)},
+	} {
+		for _, cpp := range []*tariff.CPPTariff{onTOU, onFixed} {
+			if err := cpp.Declare(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return []tariff.Tariff{onTOU, tariff.MustNewStack(tariff.MustNewFixed(0.013), onFixed)}
+}
+
+// TestColumnarCPPMatchesLegacy: CPP tariffs bill on the PriceAt kernel
+// exactly as the legacy oracle does, with overlapping windows, a window
+// across a month edge, and windows declared after the engine was
+// compiled — the kernel reads the live tariff, so those take effect.
+func TestColumnarCPPMatchesLegacy(t *testing.T) {
+	start := time.Date(2016, time.May, 1, 0, 0, 0, 0, time.UTC)
+	load := columnarLoad(start, 15*time.Minute, 62*24*4)
+	c := columnarContract(t, start, 400)
+	cpps := cppTariffs(t, start, 0)
+	c.Tariffs = append(c.Tariffs, cpps...)
 	eng, err := NewEngine(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Columnar() {
-		t.Fatal("engine with a CPP tariff must not compile to the columnar path")
-	}
-	if eng.SetColumnar(true) {
-		t.Fatal("SetColumnar(true) must be refused without kernels")
-	}
-	start := time.Date(2016, time.May, 1, 0, 0, 0, 0, time.UTC)
-	load := columnarLoad(start, 15*time.Minute, 30*24*4)
-	got, err := eng.Bill(load, BillingInput{})
+	in := columnarInput(start)
+	assertEngineMatchesLegacy(t, "cpp", eng, load, in)
+	before, err := eng.Bill(load, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ComputeBillLegacy(c, load, BillingInput{})
+
+	late := tariff.CriticalWindow{Start: start.Add(40*24*time.Hour + 17*time.Hour), End: start.Add(40*24*time.Hour + 19*time.Hour)}
+	if err := cpps[0].(*tariff.CPPTariff).Declare(late); err != nil {
+		t.Fatal(err)
+	}
+	after, err := eng.Bill(load, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBillsIdentical(t, "cpp-fallback", got, want)
+	if after.Total <= before.Total {
+		t.Fatalf("window declared after NewEngine did not raise the bill: %v -> %v", before.Total, after.Total)
+	}
+	assertEngineMatchesLegacy(t, "cpp-declared-late", eng, load, in)
 }
 
-// FuzzColumnarEquivalence cross-checks the three paths over random
-// series geometries — arbitrary start instant, interval and length, so
-// month blocks of every shape (empty-adjacent, single-sample, chunk
-// -straddling) flow through the kernels.
+// FuzzColumnarEquivalence cross-checks the engine against the legacy
+// oracle over random series geometries — arbitrary start instant,
+// interval and length, so month blocks of every shape (empty-adjacent,
+// single-sample, chunk-straddling) flow through the kernels. cpp adds
+// the two CPP tariffs of cppTariffs, windows shifted by the seed.
 func FuzzColumnarEquivalence(f *testing.F) {
-	f.Add(int64(1), uint16(900), uint16(3000), uint8(0))
-	f.Add(int64(2016), uint16(420), uint16(9000), uint8(1))
-	f.Add(int64(-7), uint16(60), uint16(2100), uint8(2))
-	f.Add(int64(99), uint16(10800), uint16(800), uint8(3))
+	f.Add(int64(1), uint16(900), uint16(3000), uint8(0), false)
+	f.Add(int64(2016), uint16(420), uint16(9000), uint8(1), false)
+	f.Add(int64(-7), uint16(60), uint16(2100), uint8(2), false)
+	f.Add(int64(99), uint16(10800), uint16(800), uint8(3), false)
 	// Zurich starts a few days before each 2016 DST transition, on an
 	// interval that is not a divisor of the hour.
-	f.Add(int64(5), uint16(420), uint16(2400), uint8(4))
-	f.Add(int64(-1234), uint16(900), uint16(1300), uint8(5))
-	f.Add(int64(3599), uint16(420), uint16(3000), uint8(5))
+	f.Add(int64(5), uint16(420), uint16(2400), uint8(4), false)
+	f.Add(int64(-1234), uint16(900), uint16(1300), uint8(5), false)
+	f.Add(int64(3599), uint16(420), uint16(3000), uint8(5), false)
 	zurich, err := time.LoadLocation("Europe/Zurich")
 	if err != nil {
 		// Without tzdata the DST starts fall back to UTC instants.
@@ -243,7 +260,7 @@ func FuzzColumnarEquivalence(f *testing.F) {
 		// 2016-10-30 03:00 CEST falls back to 02:00 CET.
 		time.Date(2016, time.October, 28, 23, 0, 0, 0, zurich),
 	}
-	f.Fuzz(func(t *testing.T, seed int64, intervalSec uint16, n uint16, startSel uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, intervalSec uint16, n uint16, startSel uint8, cpp bool) {
 		if intervalSec == 0 || n == 0 {
 			t.Skip()
 		}
@@ -260,7 +277,10 @@ func FuzzColumnarEquivalence(f *testing.F) {
 		load := timeseries.MustNewPower(start, interval, samples)
 
 		c := columnarContract(t, start.Add(time.Duration(seed%48)*time.Hour), 200)
+		if cpp {
+			c.Tariffs = append(c.Tariffs, cppTariffs(t, start, time.Duration(seed%97)*time.Hour)...)
+		}
 		in := columnarInput(start)
-		assertColumnarTriangle(t, "fuzz", c, load, in)
+		assertColumnarMatchesLegacy(t, "fuzz", c, load, in)
 	})
 }

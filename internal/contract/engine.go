@@ -62,16 +62,6 @@ func NewEngine(c *Contract) (*Engine, error) {
 // Contract returns the compiled contract.
 func (e *Engine) Contract() *Contract { return e.c }
 
-// Columnar reports whether the engine bills on the columnar fast path
-// (every contract component compiled a kernel).
-func (e *Engine) Columnar() bool { return e.eval.Columnar() }
-
-// SetColumnar switches the engine between the columnar fast path and
-// the legacy per-sample walk, returning the path in effect. Both paths
-// produce byte-identical bills; this is a test and diagnostics hook —
-// do not call it concurrently with billing.
-func (e *Engine) SetColumnar(on bool) bool { return e.eval.SetColumnar(on) }
-
 // Bill prices one billing period's load profile.
 func (e *Engine) Bill(load *timeseries.PowerSeries, in BillingInput) (*Bill, error) {
 	return e.BillCtx(context.Background(), load, in)

@@ -1,12 +1,13 @@
 package demand
 
-// Columnar kernels for the kW branch. Both accumulators in producer.go
-// are already streaming with O(1)/O(N-peaks) state, so their scanners
-// are direct transliterations over contiguous sample chunks: the gain
-// is dropping the per-sample interface call and Sample boxing, plus a
-// fast single-peak loop when no top-N tracker is needed. Arithmetic is
-// kept operation-for-operation identical (same comparisons, same
-// insertion order, same per-excursion rounding).
+// Columnar kernels for the kW branch. Both components need only
+// O(1)/O(N-peaks) state, so their scanners stream contiguous sample
+// chunks with the same arithmetic as the standalone methods: the N-peak
+// tracker keeps the (power desc, earlier-index-wins) order TopN sorts
+// by and sums the clamped peaks in that order, as BilledDemand does;
+// the excursion tracker accumulates excess energy per contiguous run
+// and rounds once per excursion, as Violations/CostOfViolations do. A
+// fast single-peak loop serves the methods that need no top-N tracker.
 
 import (
 	"strconv"
@@ -29,8 +30,6 @@ func (c *Charge) CompileKernel() billing.Kernel {
 	return &chargeKernel{charge: c, desc: c.Describe(), n: n}
 }
 
-var _ billing.KernelProducer = (*Charge)(nil)
-
 type chargeKernel struct {
 	charge *Charge
 	desc   string
@@ -40,13 +39,15 @@ type chargeKernel struct {
 func (k *chargeKernel) NewScanner() billing.Scanner {
 	s := &chargeScanner{charge: k.charge, desc: k.desc, n: k.n}
 	if k.n > 0 {
-		s.top = make([]peakEntry, 0, k.n)
+		s.top = make([]units.Power, 0, k.n)
 	}
 	return s
 }
 
-// chargeScanner is chargeAcc over chunks. The top-N tracker keeps the
-// identical (power desc, index asc) order and tie-breaks.
+// chargeScanner tracks the running peak and, for the N-peak method, a
+// bounded top-N list of powers in descending order: a full list admits
+// a new sample only when it strictly beats the weakest entry (equal
+// power loses — the earlier sample wins, matching TopN's tie-break).
 type chargeScanner struct {
 	charge     *Charge
 	desc       string
@@ -55,7 +56,7 @@ type chargeScanner struct {
 	seen bool
 	peak units.Power
 
-	top []peakEntry
+	top []units.Power
 	n   int
 
 	buf []byte
@@ -68,7 +69,7 @@ func (s *chargeScanner) Begin(pctx *billing.PeriodContext, _ time.Time, _ time.D
 	s.top = s.top[:0]
 }
 
-func (s *chargeScanner) Scan(samples []units.Power, base int) {
+func (s *chargeScanner) Scan(samples []units.Power, _ int) {
 	if len(samples) == 0 {
 		return
 	}
@@ -87,28 +88,28 @@ func (s *chargeScanner) Scan(samples []units.Power, base int) {
 		s.peak = peak
 		return
 	}
-	for j, p := range samples {
+	for _, p := range samples {
 		if !s.seen || p > s.peak {
 			s.peak = p
 			s.seen = true
 		}
 		if len(s.top) == s.n {
-			if p <= s.top[s.n-1].power {
+			if p <= s.top[s.n-1] {
 				continue
 			}
 			s.top = s.top[:s.n-1]
 		}
 		at := len(s.top)
-		for at > 0 && s.top[at-1].power < p {
+		for at > 0 && s.top[at-1] < p {
 			at--
 		}
-		s.top = append(s.top, peakEntry{})
+		s.top = append(s.top, 0)
 		copy(s.top[at+1:], s.top[at:])
-		s.top[at] = peakEntry{power: p, index: base + j}
+		s.top[at] = p
 	}
 }
 
-// billed replicates chargeAcc.billed (itself Charge.BilledDemand).
+// billed replicates Charge.BilledDemand on the scanned state.
 func (s *chargeScanner) billed() units.Power {
 	if !s.seen {
 		return 0
@@ -122,8 +123,8 @@ func (s *chargeScanner) billed() units.Power {
 		return peak
 	case NPeakAverage:
 		var sum float64
-		for _, e := range s.top {
-			v := float64(e.power)
+		for _, p := range s.top {
+			v := float64(p)
 			if v < 0 {
 				v = 0
 			}
@@ -154,8 +155,6 @@ func (b *Powerband) CompileKernel() billing.Kernel {
 	return &bandKernel{band: b, desc: b.Describe()}
 }
 
-var _ billing.KernelProducer = (*Powerband)(nil)
-
 type bandKernel struct {
 	band *Powerband
 	desc string
@@ -165,10 +164,9 @@ func (k *bandKernel) NewScanner() billing.Scanner {
 	return &bandScanner{band: k.band, desc: k.desc}
 }
 
-// bandScanner is bandAcc over chunks: excess energy accumulates per
-// contiguous out-of-band run and rounds once per excursion at flush.
-// Runs straddle chunk and month-block boundaries unflushed, exactly as
-// the sample walk carries them across samples.
+// bandScanner accumulates excess energy per contiguous out-of-band run
+// and rounds once per excursion at flush, as Violations/Cost do. Runs
+// straddle chunk and month-block boundaries unflushed.
 type bandScanner struct {
 	band *Powerband
 	desc string

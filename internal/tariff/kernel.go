@@ -1,10 +1,11 @@
 package tariff
 
-// Columnar kernels for the kWh branch. Each in-package tariff kind
-// compiles to a billing.Kernel whose scanner replicates the matching
-// accumulator's arithmetic exactly (producer.go): a fixed tariff sums
-// energy and rounds once; TOU and dynamic tariffs price and round per
-// sample. The per-sample PriceAt lookup is compiled away:
+// Columnar kernels for the kWh branch. Every tariff compiles to a
+// billing.Kernel whose scanner reproduces the tariff's Cost arithmetic
+// exactly: a fixed tariff sums energy and rounds once; every other kind
+// prices and rounds per sample at the price in effect at the sample's
+// interval start, as costByPriceAt does. For the in-package kinds the
+// per-sample PriceAt lookup is compiled away:
 //
 //   - TOU: the schedule is lowered to a month × day-kind × hour price
 //     cube at compile time (calendar.LabelForSlot guarantees the label
@@ -14,9 +15,9 @@ package tariff
 //   - Dynamic: the feed's slot grid is walked segment-wise with the
 //     same clamping PriceSeries.PriceAt applies at the edges.
 //
-// CPP tariffs (and any other out-of-package Tariff) do not compile:
-// compileTariffKernel returns nil and the evaluator keeps the
-// sample-walk path for the whole contract.
+// CPP tariffs, and any Tariff implemented outside this package, compile
+// to the PriceAt kernel: it calls PriceAt per sample on the live
+// tariff, so CPP windows declared after compilation still apply.
 
 import (
 	"math"
@@ -31,39 +32,41 @@ import (
 // maxSegEnd marks a price segment that runs to the end of any period.
 const maxSegEnd = int(^uint(0) >> 1)
 
-// CompileKernel compiles the adapted tariff into a columnar kernel, or
-// nil when the tariff (or any stacked component) has no exact kernel.
+// CompileKernel compiles the adapted tariff into a columnar kernel.
 func (p producer) CompileKernel() billing.Kernel {
-	cost := compileCostKernel(p.t)
-	if cost == nil {
-		return nil
+	k := &tariffKernel{class: classFor(p.t.Kind())}
+	var live bool
+	k.cost, live = compileCostKernel(p.t)
+	if live {
+		k.live = p.t
+	} else {
+		k.desc = p.t.Describe()
 	}
-	return &tariffKernel{
-		class: classFor(p.t.Kind()),
-		desc:  p.t.Describe(),
-		cost:  cost,
-	}
+	return k
 }
 
-var _ billing.KernelProducer = producer{}
-
-// tariffKernel pairs the compiled cost kernel with the precomputed
-// line-item metadata (class and description are period-invariant).
+// tariffKernel pairs the compiled cost kernel with the line-item
+// metadata. The class is period-invariant, and so is the description
+// of a tariff with dedicated kernels, rendered once here; a tariff
+// priced through PriceAt is described per period from live, because a
+// CPP tariff's description counts the windows declared so far.
 type tariffKernel struct {
 	class billing.Class
 	desc  string
+	live  Tariff
 	cost  costKernel
 }
 
 func (k *tariffKernel) NewScanner() billing.Scanner {
-	return &tariffScanner{class: k.class, desc: k.desc, cost: k.cost.newScanner()}
+	return &tariffScanner{class: k.class, desc: k.desc, live: k.live, cost: k.cost.newScanner()}
 }
 
-// tariffScanner mirrors tariffAcc: a running period-energy sum for the
-// quantity column plus the wrapped cost scanner.
+// tariffScanner keeps a running period-energy sum for the quantity
+// column and wraps the cost scanner.
 type tariffScanner struct {
 	class billing.Class
 	desc  string
+	live  Tariff
 	cost  costScanner
 	h     float64
 	kwh   float64
@@ -87,16 +90,21 @@ func (s *tariffScanner) Scan(samples []units.Power, base int) {
 }
 
 func (s *tariffScanner) AppendLines(dst []billing.LineItem) []billing.LineItem {
+	desc := s.desc
+	if s.live != nil {
+		desc = s.live.Describe()
+	}
 	s.buf = units.AppendEnergy(s.buf[:0], units.Energy(s.kwh))
 	return append(dst, billing.LineItem{
 		Class:       s.class,
-		Description: s.desc,
+		Description: desc,
 		Quantity:    string(s.buf),
 		Amount:      s.cost.amount(),
 	})
 }
 
-// costKernel / costScanner are the columnar twins of costAccumulator.
+// costKernel / costScanner compile a tariff's Cost arithmetic: scan
+// every sample once, then read the period amount.
 type costKernel interface {
 	newScanner() costScanner
 }
@@ -107,33 +115,31 @@ type costScanner interface {
 	amount() units.Money
 }
 
-// compileCostKernel lowers a tariff's cost arithmetic, mirroring
-// newCostAccumulator's dispatch. Unknown tariff implementations return
-// nil: they have no exact columnar form.
-func compileCostKernel(t Tariff) costKernel {
+// compileCostKernel lowers a tariff's cost arithmetic. Tariffs without
+// a dedicated kernel price every sample through PriceAt; live reports
+// whether t contains one, so its state may change after compilation.
+func compileCostKernel(t Tariff) (k costKernel, live bool) {
 	switch tt := t.(type) {
 	case *FixedTariff:
-		return fixedCostKernel{rate: tt.Rate}
+		return fixedCostKernel{rate: tt.Rate}, false
 	case *TOUTariff:
-		return compileTOUKernel(tt)
+		return compileTOUKernel(tt), false
 	case *DynamicTariff:
-		return feedCostKernel{feed: tt.feed, mult: tt.multiplier, adder: tt.adder}
+		return feedCostKernel{feed: tt.feed, mult: tt.multiplier, adder: tt.adder}, false
 	case *Stack:
 		kids := make([]costKernel, len(tt.components))
 		for i, c := range tt.components {
-			k := compileCostKernel(c)
-			if k == nil {
-				return nil
-			}
-			kids[i] = k
+			var kidLive bool
+			kids[i], kidLive = compileCostKernel(c)
+			live = live || kidLive
 		}
-		return stackCostKernel{kids: kids}
+		return stackCostKernel{kids: kids}, live
 	default:
-		return nil
+		return priceAtCostKernel{t: t}, true
 	}
 }
 
-// fixedCostKernel reproduces fixedAcc: sum energy, price once.
+// fixedCostKernel reproduces FixedTariff.Cost: sum energy, price once.
 type fixedCostKernel struct{ rate units.EnergyPrice }
 
 func (k fixedCostKernel) newScanner() costScanner { return &fixedCostScanner{rate: k.rate} }
@@ -188,12 +194,11 @@ func (k *touCostKernel) newScanner() costScanner {
 	return &touCostScanner{sched: k.sched, cube: &k.cube}
 }
 
-// touCostScanner reproduces priceAtAcc for a TOU tariff: every sample's
+// touCostScanner reproduces costByPriceAt for a TOU tariff: every sample's
 // energy is billed at the slot price of its interval start, rounding
 // per sample. The effective price advances per price run (see advance);
 // each advance re-derives (month, day-kind, hour) from the exact sample
-// instant, so irregular intervals and DST transitions stay exact (a
-// segment that cannot make progress degrades to per-sample advancing).
+// instant, so irregular intervals and DST transitions stay exact.
 type touCostScanner struct {
 	sched *calendar.Schedule
 	cube  *priceCube
@@ -246,11 +251,15 @@ func (s *touCostScanner) scan(samples []units.Power, base int) {
 // advance recomputes the effective price at sample index i and the
 // first index past the price run that holds it: the current wall-clock
 // hour, extended over the following hours of the same calendar day
-// whose cube price is equal. The extension is taken only when the zone
-// offset in force at the sample also covers the whole run, from the
-// top of its first hour to its end; otherwise the segment stays one
-// hour, exactly as before runs existed. Runs end at midnight at the
-// latest, so the cached day-kind holds across them.
+// whose cube price is equal. The run's end is measured in wall time
+// from the sample instant t itself, never from a top of the hour (which
+// can lie in an earlier zone period, or inside a DST gap that time.Date
+// normalizes elsewhere), and the segment is clipped at the end of t's
+// zone period. Within one zone period the wall clock advances with
+// absolute time, so every sample of the segment lies in the run's
+// hours; after a transition the next advance re-derives the wall clock.
+// Runs end at midnight at the latest, so the cached day-kind holds
+// across them.
 func (s *touCostScanner) advance(i int) {
 	t := s.start.Add(time.Duration(i) * s.interval)
 	y, mo, d := t.Date()
@@ -259,32 +268,22 @@ func (s *touCostScanner) advance(i int) {
 		s.kind = s.sched.DayKindAt(t)
 		s.haveDay = true
 	}
-	hour := t.Hour()
+	hour, minute, sec := t.Clock()
 	day := &s.cube[mo-1][s.kind]
 	s.price = day[hour]
-	top := time.Date(y, mo, d, hour, 0, 0, 0, t.Location())
-	boundary := top.Add(time.Hour)
 	run := 1
 	for hour+run < 24 && samePrice(day[hour+run], s.price) {
 		run++
 	}
-	if run > 1 {
-		// The run is exact only if the wall clock advances with absolute
-		// time from the top of the hour to the run end: one zone period
-		// covers both, and the top really reads hour:00 (time.Date
-		// normalizes a top that falls in a sub-hour DST gap elsewhere).
-		runEnd := boundary.Add(time.Duration(run-1) * time.Hour)
-		zoneStart, zoneEnd := t.ZoneBounds()
-		topHour, topMin, _ := top.Clock()
-		if topHour == hour && topMin == 0 && !top.Before(zoneStart) && (zoneEnd.IsZero() || !runEnd.After(zoneEnd)) {
-			boundary = runEnd
-		}
+	intoHour := time.Duration(minute)*time.Minute + time.Duration(sec)*time.Second + time.Duration(t.Nanosecond())
+	boundary := t.Add(time.Duration(run)*time.Hour - intoHour)
+	if _, zoneEnd := t.ZoneBounds(); !zoneEnd.IsZero() && zoneEnd.Before(boundary) {
+		boundary = zoneEnd
 	}
 	seg := billing.CeilIndex(boundary.Sub(s.start), s.interval)
 	if seg <= i {
-		// Wall clock stalled or stepped back (DST fall-back's repeated
-		// hour): advance sample by sample, each priced from its exact
-		// instant.
+		// boundary lies after t, so this never fires; it keeps the scan
+		// loop from stalling should that ever break.
 		seg = i + 1
 	}
 	s.segEnd = seg
@@ -298,7 +297,7 @@ func samePrice(a, b units.EnergyPrice) bool {
 
 func (s *touCostScanner) amount() units.Money { return s.total }
 
-// feedCostKernel reproduces priceAtAcc for a dynamic tariff: the feed
+// feedCostKernel reproduces costByPriceAt for a dynamic tariff: the feed
 // price in effect at each sample's interval start (with PriceAt's edge
 // clamping), marked up, priced and rounded per sample.
 type feedCostKernel struct {
@@ -387,7 +386,7 @@ func (s *feedCostScanner) advance(i int) {
 
 func (s *feedCostScanner) amount() units.Money { return s.total }
 
-// stackCostKernel reproduces stackAcc: each component accumulates
+// stackCostKernel reproduces Stack.Cost: each component accumulates
 // independently and the amounts sum at the end, preserving
 // per-component rounding.
 type stackCostKernel struct{ kids []costKernel }
@@ -421,3 +420,38 @@ func (s *stackCostScanner) amount() units.Money {
 	}
 	return total
 }
+
+// priceAtCostKernel reproduces costByPriceAt for any other tariff (CPP
+// included): each sample's energy is billed at PriceAt of its interval
+// start, rounding per sample. It holds the tariff itself, not a
+// snapshot, so CPP windows declared after compilation take effect.
+type priceAtCostKernel struct{ t Tariff }
+
+func (k priceAtCostKernel) newScanner() costScanner { return &priceAtCostScanner{t: k.t} }
+
+type priceAtCostScanner struct {
+	t        Tariff
+	start    time.Time
+	interval time.Duration
+	h        float64
+	total    units.Money
+}
+
+func (s *priceAtCostScanner) begin(start time.Time, interval time.Duration, _ int) {
+	s.start = start
+	s.interval = interval
+	s.h = interval.Hours()
+	s.total = 0
+}
+
+func (s *priceAtCostScanner) scan(samples []units.Power, base int) {
+	h := s.h
+	total := s.total
+	for j, p := range samples {
+		at := s.start.Add(time.Duration(base+j) * s.interval)
+		total += s.t.PriceAt(at).Cost(units.Energy(float64(p) * h))
+	}
+	s.total = total
+}
+
+func (s *priceAtCostScanner) amount() units.Money { return s.total }

@@ -6,14 +6,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/billing"
 	"repro/internal/calendar"
+	"repro/internal/timeseries"
 	"repro/internal/units"
 )
 
 // TestTOUScannerMatchesPriceAt checks the TOU cost scanner, which
-// advances once per price run, against priceAtAcc, which prices every
-// sample from its own instant. The year is in Europe/Zurich, so runs
+// advances once per price run, against costByPriceAt, the plain loop
+// that prices every sample from its own instant. The year is in Europe/Zurich, so runs
 // meet both 2016 DST transitions, and in Australia/Lord_Howe, whose
 // half-hour DST shifts put a transition inside an hour. Intervals are
 // 15, 7 and 90 minutes, starts are offset below the hour, and the scan
@@ -60,24 +60,16 @@ func TestTOUScannerMatchesPriceAt(t *testing.T) {
 							samples[i] = units.Power(9000 + 3000*math.Sin(float64(i)/11) + float64(i%13))
 						}
 
-						sc := compileCostKernel(tou).newScanner()
+						k, _ := compileCostKernel(tou)
+						sc := k.newScanner()
 						sc.begin(start, interval, n)
 						const chunk = 997
 						for base := 0; base < n; base += chunk {
 							sc.scan(samples[base:min(base+chunk, n)], base)
 						}
 
-						acc := newCostAccumulator(tou)
-						h := interval.Hours()
-						for i, p := range samples {
-							acc.observe(billing.Sample{
-								Index:  i,
-								Time:   start.Add(time.Duration(i) * interval),
-								Power:  p,
-								Energy: units.Energy(float64(p) * h),
-							})
-						}
-						if got, want := sc.amount(), acc.amount(); got != want {
+						want := costByPriceAt(tou, timeseries.MustNewPower(start, interval, samples))
+						if got := sc.amount(); got != want {
 							t.Errorf("scanner amount %v, priceAt amount %v (off by %d micro-units)", got, want, int64(got-want))
 						}
 					})
@@ -116,35 +108,48 @@ func midHourGapZone(t *testing.T) *time.Location {
 
 // TestTOUScannerMidHourGap: after a gap that opens inside hour 2, the
 // top of hour 2 still exists in the old zone and reads 02:00, but the
-// wall clock after the gap runs 30 minutes ahead of it. The sample grid
-// (30 minutes, 20 past) and a distinct hour-1 price make the scanner
-// advance first at 02:50, after the gap. A run from that top would bill
-// 17:20 at the 02:00 price; the zone-start guard refuses the run.
+// wall clock after the gap runs 30 minutes ahead of it. Two 30-minute
+// sample grids meet the gap from either side: at 20 past, the scanner
+// first advances in hour 2 at 02:50, after the gap; at 10 past, it
+// advances at 02:10, just before it, and the next sample reads 03:10.
+// A step measured from the top of the hour would price 03:20 (or 03:10)
+// at the hour-2 price; the "split" schedule prices hours 1, 2 and 3
+// differently so that shows, and the "run" schedule gives hour 3 a long
+// run that must not be taken from that top either.
 func TestTOUScannerMidHourGap(t *testing.T) {
 	loc := midHourGapZone(t)
 	if _, off := time.Date(2016, time.May, 8, 3, 0, 0, 0, loc).Zone(); off != 5400 {
 		t.Fatalf("zone offset after the gap = %d s, want 5400", off)
 	}
-	tou := MustNewTOU(calendar.MustNewSchedule("base", nil,
-		calendar.ScheduleEntry{Rule: calendar.Rule{Hours: calendar.HourBand{From: 1, To: 2}}, Label: "one"},
-		calendar.ScheduleEntry{Rule: calendar.Rule{Hours: calendar.HourBand{From: 17, To: 19}}, Label: "evening"},
-	), map[string]units.EnergyPrice{"one": 0.007, "evening": 0.033, "base": 0.011})
-	start := time.Date(2016, time.May, 7, 0, 20, 0, 0, loc)
+	schedules := map[string]*TOUTariff{
+		"run": MustNewTOU(calendar.MustNewSchedule("base", nil,
+			calendar.ScheduleEntry{Rule: calendar.Rule{Hours: calendar.HourBand{From: 1, To: 2}}, Label: "one"},
+			calendar.ScheduleEntry{Rule: calendar.Rule{Hours: calendar.HourBand{From: 17, To: 19}}, Label: "evening"},
+		), map[string]units.EnergyPrice{"one": 0.007, "evening": 0.033, "base": 0.011}),
+		"split": MustNewTOU(calendar.MustNewSchedule("base", nil,
+			calendar.ScheduleEntry{Rule: calendar.Rule{Hours: calendar.HourBand{From: 1, To: 2}}, Label: "one"},
+			calendar.ScheduleEntry{Rule: calendar.Rule{Hours: calendar.HourBand{From: 2, To: 3}}, Label: "two"},
+		), map[string]units.EnergyPrice{"one": 0.007, "two": 0.019, "base": 0.011}),
+	}
 	const interval = 30 * time.Minute
 	n := 3 * 24 * 2
-	sc := compileCostKernel(tou).newScanner()
-	sc.begin(start, interval, n)
-	acc := newCostAccumulator(tou)
-	samples := make([]units.Power, n)
-	for i := range samples {
-		samples[i] = units.Power(1000 + i)
-		acc.observe(billing.Sample{
-			Index: i, Time: start.Add(time.Duration(i) * interval), Power: samples[i],
-			Energy: units.Energy(float64(samples[i]) * interval.Hours()),
-		})
-	}
-	sc.scan(samples, 0)
-	if got, want := sc.amount(), acc.amount(); got != want {
-		t.Errorf("scanner amount %v, priceAt amount %v (off by %d micro-units)", got, want, int64(got-want))
+	for name, tou := range schedules {
+		for _, past := range []time.Duration{20 * time.Minute, 10 * time.Minute} {
+			t.Run(fmt.Sprintf("%s/+%v", name, past), func(t *testing.T) {
+				start := time.Date(2016, time.May, 7, 0, 0, 0, 0, loc).Add(past)
+				samples := make([]units.Power, n)
+				for i := range samples {
+					samples[i] = units.Power(1000 + i)
+				}
+				k, _ := compileCostKernel(tou)
+				sc := k.newScanner()
+				sc.begin(start, interval, n)
+				sc.scan(samples, 0)
+				want := costByPriceAt(tou, timeseries.MustNewPower(start, interval, samples))
+				if got := sc.amount(); got != want {
+					t.Errorf("scanner amount %v, priceAt amount %v (off by %d micro-units)", got, want, int64(got-want))
+				}
+			})
+		}
 	}
 }
